@@ -3,12 +3,14 @@
 //! directory.
 
 use muffin::{
-    MuffinError, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome, WorkerPool,
+    run_sharded, MuffinError, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome,
+    SearchSpace, ShardedConfig, Tracer, WorkerPool,
 };
 use muffin_data::{DatasetSplit, IsicLike};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
+use muffin_nn::Activation;
 use muffin_tensor::Rng64;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Builds a small, deterministic ISIC-like split plus a three-model pool —
 /// the shared fixture most integration tests start from.
@@ -100,4 +102,76 @@ pub fn golden_outcome_json_resumed(workers: &WorkerPool, halt_after: u32, tag: &
         .expect("resumed golden search runs");
     std::fs::remove_file(&ckpt).ok();
     muffin_json::to_string(&outcome)
+}
+
+/// Root seed of the golden fleet recipe. Like [`GOLDEN_SEED`], everything
+/// about the recipe is frozen: changing any part of it invalidates the
+/// committed fleet snapshot.
+pub const FLEET_SEED: u64 = 4242;
+
+/// A 9-point search space over the 3-model fixture pool: small enough
+/// that the halving screen plus a few episodes cover most of it, so
+/// later islands hit the shared disk cache instead of re-training heads.
+pub fn fleet_space() -> SearchSpace {
+    SearchSpace::new(3, 2, vec![2], vec![8], vec![Activation::Relu]).expect("valid space")
+}
+
+/// The golden fleet's search configuration: 24 episodes over four
+/// islands with a REINFORCE batch of 2.
+pub fn fleet_config() -> SearchConfig {
+    SearchConfig::fast(&["age", "site"])
+        .with_episodes(24)
+        .with_reinforce_batch(2)
+        .with_space(fleet_space())
+}
+
+/// The golden fleet's identity knobs (four islands, elite exchange every
+/// 4 episodes, a 6-candidate two-rung screen) with the given pure
+/// concurrency knobs.
+pub fn fleet_sharded(shards: usize, island_workers: usize) -> ShardedConfig {
+    ShardedConfig {
+        islands: 4,
+        exchange_every: 4,
+        elites: 2,
+        screen_budget: 6,
+        screen_rungs: 2,
+        screen_keep: 0.5,
+        screen_epochs: 2,
+        shards,
+        island_workers,
+    }
+}
+
+/// Runs the golden fleet recipe with fleet state in `dir` and serialises
+/// the merged outcome exactly as [`SearchOutcome::save_json`] would write
+/// it. Without `resume` the caller is expected to pass a fresh directory.
+pub fn fleet_outcome_json(
+    dir: &Path,
+    shards: usize,
+    island_workers: usize,
+    resume: bool,
+    tracer: &Tracer,
+) -> String {
+    let (split, pool, _) = small_fixture(FLEET_SEED);
+    let outcome = run_sharded(
+        pool,
+        split,
+        fleet_config(),
+        &fleet_sharded(shards, island_workers),
+        FLEET_SEED,
+        dir,
+        resume,
+        None,
+        tracer,
+    )
+    .expect("fleet runs");
+    muffin_json::to_string(&outcome)
+}
+
+/// Path of the committed golden fleet snapshot
+/// (`tests/golden/fleet_outcome.json` from the repository root).
+pub fn golden_fleet_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join("fleet_outcome.json")
 }

@@ -1,15 +1,18 @@
 //! Golden-snapshot determinism suite: the serialised `SearchOutcome` of a
 //! frozen recipe is committed at `tests/golden/search_outcome.json`, and
 //! re-running the recipe — serially or on a four-worker pool — must
-//! reproduce it byte for byte.
+//! reproduce it byte for byte. The sharded fleet recipe's merged outcome
+//! is committed next to it at `tests/golden/fleet_outcome.json` and
+//! checked by the sharded-equivalence suite.
 //!
-//! If an intentional behaviour change invalidates the snapshot, regenerate
-//! it with `scripts/regen-golden.sh` and commit the diff alongside the
+//! If an intentional behaviour change invalidates a snapshot, regenerate
+//! both with `scripts/regen-golden.sh` and commit the diff alongside the
 //! change that caused it.
 
-use muffin::WorkerPool;
+use muffin::{Tracer, WorkerPool};
 use muffin_integration_tests::{
-    golden_outcome_json, golden_outcome_json_resumed, golden_snapshot_path,
+    fleet_outcome_json, golden_fleet_path, golden_outcome_json, golden_outcome_json_resumed,
+    golden_snapshot_path,
 };
 
 fn committed_snapshot() -> String {
@@ -95,11 +98,19 @@ fn blocked_kernels_reproduce_the_snapshot_at_every_worker_count() {
 /// Regeneration path, invoked by `scripts/regen-golden.sh`:
 /// `cargo test ... -- --ignored regenerate_golden_snapshot`.
 #[test]
-#[ignore = "rewrites tests/golden/search_outcome.json; run via scripts/regen-golden.sh"]
+#[ignore = "rewrites the tests/golden/ snapshots; run via scripts/regen-golden.sh"]
 fn regenerate_golden_snapshot() {
-    let path = golden_snapshot_path();
-    std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-    let json = golden_outcome_json(&WorkerPool::serial());
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {} ({} bytes)", path.display(), json.len());
+    let write = |path: std::path::PathBuf, json: String| {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
+        std::fs::write(&path, &json)
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        println!("wrote {} ({} bytes)", path.display(), json.len());
+    };
+    write(golden_snapshot_path(), golden_outcome_json(&WorkerPool::serial()));
+
+    let dir = std::env::temp_dir().join(format!("muffin_golden_fleet_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let fleet = fleet_outcome_json(&dir, 1, 1, false, &Tracer::noop());
+    std::fs::remove_dir_all(&dir).ok();
+    write(golden_fleet_path(), fleet);
 }

@@ -1,60 +1,32 @@
 //! The sharded-search determinism contract: the merged [`SearchOutcome`]
 //! depends only on `(seed, config, islands)` — never on the number of
 //! concurrent shard slots, per-island worker threads, or which shard
-//! finishes first. A fleet sharing one on-disk eval cache must also skip
+//! finishes first. Every shard-slot × worker cell must reproduce the
+//! committed `tests/golden/fleet_outcome.json` byte for byte. A fleet sharing one on-disk eval cache must also skip
 //! re-evaluating screened candidates (`search.cache_hit_disk > 0`), and
 //! re-running a completed fleet with `resume` must be a byte-identical
 //! no-op.
 
-use muffin::{
-    merge_shard_histories, run_sharded, EpisodeRecord, SearchConfig, SearchSpace, ShardedConfig,
-    Tracer,
-};
-use muffin_integration_tests::small_fixture;
-use muffin_nn::Activation;
+use muffin::{merge_shard_histories, EpisodeRecord, Tracer};
+use muffin_integration_tests::{fleet_outcome_json, golden_fleet_path};
 use std::path::PathBuf;
 
-const FLEET_SEED: u64 = 4242;
-
-/// A 9-point search space over the 3-model fixture pool: small enough
-/// that the halving screen plus a few episodes cover most of it, so
-/// later islands hit the shared disk cache instead of re-training heads.
-fn tiny_space() -> SearchSpace {
-    SearchSpace::new(3, 2, vec![2], vec![8], vec![Activation::Relu]).expect("valid space")
-}
-
-fn fleet_config() -> SearchConfig {
-    SearchConfig::fast(&["age", "site"])
-        .with_episodes(24)
-        .with_reinforce_batch(2)
-        .with_space(tiny_space())
-}
-
-fn fleet_sharded(shards: usize, island_workers: usize) -> ShardedConfig {
-    ShardedConfig {
-        islands: 4,
-        exchange_every: 4,
-        elites: 2,
-        screen_budget: 6,
-        screen_rungs: 2,
-        screen_keep: 0.5,
-        screen_epochs: 2,
-        shards,
-        island_workers,
-    }
+fn fleet_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir()
+        .join("muffin_sharded_equiv")
+        .join(format!("{tag}_{}", std::process::id()))
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("muffin_sharded_equiv")
-        .join(format!("{tag}_{}", std::process::id()));
+    let dir = fleet_dir(tag);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
 }
 
-/// Runs one fleet in a fresh directory and returns the outcome JSON plus
-/// the finished trace log of the supplied tracer.
+/// Runs the golden fleet recipe and returns the outcome JSON. Without
+/// `resume` the fleet starts in a fresh directory; with it, the caller
+/// prepared the directory and the fleet continues from its state.
 fn run_fleet(
     tag: &str,
     shards: usize,
@@ -62,34 +34,25 @@ fn run_fleet(
     resume: bool,
     tracer: &Tracer,
 ) -> String {
-    let (split, pool, _) = small_fixture(FLEET_SEED);
     let dir = if resume {
-        // Caller prepared the directory; reuse it.
-        std::env::temp_dir()
-            .join("muffin_sharded_equiv")
-            .join(format!("{tag}_{}", std::process::id()))
+        fleet_dir(tag)
     } else {
         fresh_dir(tag)
     };
-    let outcome = run_sharded(
-        pool,
-        split,
-        fleet_config(),
-        &fleet_sharded(shards, island_workers),
-        FLEET_SEED,
-        &dir,
-        resume,
-        None,
-        tracer,
-    )
-    .expect("fleet runs");
-    muffin_json::to_string(&outcome)
+    fleet_outcome_json(&dir, shards, island_workers, resume, tracer)
 }
 
 #[test]
 fn merged_outcome_is_identical_across_shard_slots_and_workers() {
-    let baseline = run_fleet("s1w1", 1, 1, false, &Tracer::noop());
-    for (shards, workers) in [(2usize, 1usize), (4, 1), (2, 2), (4, 2)] {
+    let path = golden_fleet_path();
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read committed fleet snapshot {}: {e}\n\
+             generate it with scripts/regen-golden.sh",
+            path.display()
+        )
+    });
+    for (shards, workers) in [(1usize, 1usize), (2, 1), (4, 1), (2, 2), (4, 2)] {
         let json = run_fleet(
             &format!("s{shards}w{workers}"),
             shards,
@@ -98,8 +61,13 @@ fn merged_outcome_is_identical_across_shard_slots_and_workers() {
             &Tracer::noop(),
         );
         assert!(
-            json == baseline,
-            "merged outcome diverged at shards={shards} island_workers={workers}"
+            json == expected,
+            "merged outcome at shards={shards} island_workers={workers} diverged from \
+             tests/golden/fleet_outcome.json ({} vs {} bytes).\n\
+             If this change is intentional, refresh the snapshot with \
+             scripts/regen-golden.sh and commit the updated file.",
+            json.len(),
+            expected.len()
         );
     }
 }
