@@ -793,6 +793,41 @@ fn corrupt_shard_checkpoints_are_rejected_naming_the_shard() {
 }
 
 #[test]
+fn outcome_with_an_out_of_range_best_is_an_error_not_a_panic() {
+    let (_, fixture_pool) = fixture();
+    // A private copy: a wrongly accepted `pool remove` must not edit the
+    // shared fixture.
+    let pool = tmp("bad_best_pool.json");
+    std::fs::copy(&fixture_pool, &pool).expect("copy pool");
+    let outcome = tmp("bad_best_outcome.json");
+    std::fs::write(
+        &outcome,
+        r#"{"history":[],"best_by_reward":3,"target_attributes":["age"]}"#,
+    )
+    .expect("write outcome");
+    let pool_bytes = std::fs::read(&pool).expect("pool bytes");
+    for args in [
+        vec!["pool", "gc", "--pool", &pool, "--outcome", &outcome, "--dry-run"],
+        vec![
+            "pool", "remove", "--pool", &pool, "--model", "ResNet-18", "--outcome", &outcome,
+        ],
+    ] {
+        let out = muffin(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("best_by_reward"), "{args:?}: {stderr}");
+    }
+    assert_eq!(
+        pool_bytes,
+        std::fs::read(&pool).expect("pool bytes after"),
+        "a rejected outcome must leave the pool untouched"
+    );
+    for f in [pool, outcome] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+#[test]
 fn serve_answers_stdin_requests_and_shuts_down_cleanly_on_eof() {
     use std::io::Write as _;
     // The demo deployment is IsicLike-small: 24 features per request.

@@ -432,7 +432,6 @@ impl EvalCacheFile {
     /// [`PoolRelation::Grew`] means the cache was written against a
     /// prefix of the current pool — call [`Self::rekey_records`] before
     /// use so every record's slot entries index the current pool.
-    /// `shared` selects the cross-seed rule of [`Self::load_shared`].
     ///
     /// # Errors
     ///
@@ -441,21 +440,15 @@ impl EvalCacheFile {
     pub fn load_warm(
         path: impl AsRef<Path>,
         expected: &SearchFingerprint,
-        shared: bool,
     ) -> Result<Option<(Self, PoolRelation)>, MuffinError> {
         let path = path.as_ref();
         let Some(cache) = Self::parse_checked(path)? else {
             return Ok(None);
         };
-        let strict = if shared {
-            expected.mismatch_ignoring_rng(&cache.fingerprint)
-        } else {
-            expected.mismatch(&cache.fingerprint)
-        };
-        if strict.is_none() {
+        if expected.mismatch(&cache.fingerprint).is_none() {
             return Ok(Some((cache, PoolRelation::Identical)));
         }
-        match expected.growth_from(&cache.fingerprint, shared) {
+        match expected.growth_from(&cache.fingerprint, false) {
             Ok(relation) => Ok(Some((cache, relation))),
             Err(what) => Err(MuffinError::StaleArtifact(format!(
                 "eval cache {} belongs to a different run: {what} — \
@@ -670,15 +663,6 @@ pub struct PersistenceOptions {
     /// Cross-run evaluation cache file: loaded (if present) before the
     /// run and rewritten with the merged cache afterwards.
     pub eval_cache: Option<std::path::PathBuf>,
-    /// Load the eval cache in shared mode
-    /// ([`EvalCacheFile::load_shared`]): accept records written under a
-    /// different caller-RNG seed. Used by sharded-search islands reading
-    /// the fleet cache.
-    pub eval_cache_shared: bool,
-    /// Never write the eval cache back — treat it as a read-only input
-    /// snapshot. Sharded islands set this so only the supervisor mutates
-    /// fleet cache files, and only at round barriers.
-    pub eval_cache_read_only: bool,
     /// Stop at the first batch boundary ≥ this episode count, write a
     /// checkpoint, and return [`MuffinError::Halted`]. Simulates a kill
     /// deterministically; requires `checkpoint`.
@@ -709,18 +693,6 @@ impl PersistenceOptions {
     /// Sets the cross-run evaluation cache file.
     pub fn with_eval_cache(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.eval_cache = Some(path.into());
-        self
-    }
-
-    /// Loads the eval cache in shared (rng-agnostic) mode.
-    pub fn with_eval_cache_shared(mut self, shared: bool) -> Self {
-        self.eval_cache_shared = shared;
-        self
-    }
-
-    /// Treats the eval cache as a read-only input snapshot.
-    pub fn with_eval_cache_read_only(mut self, read_only: bool) -> Self {
-        self.eval_cache_read_only = read_only;
         self
     }
 

@@ -128,14 +128,7 @@ pub(crate) fn evaluate_at_epochs(
     episode: u32,
     tag_epochs: bool,
 ) -> Result<EpisodeRecord, MuffinError> {
-    let space = search.space();
-    let candidate = space.decode(actions)?;
-    let target_names: Vec<&str> = search
-        .config()
-        .target_attributes
-        .iter()
-        .map(String::as_str)
-        .collect();
+    let candidate = search.space().decode(actions)?;
     let head = HeadTrainConfig {
         epochs,
         ..search.config().head.clone()
@@ -155,36 +148,18 @@ pub(crate) fn evaluate_at_epochs(
         &mut head_rng,
     );
     let eval = fusing.evaluate(search.pool(), &search.split().val);
-    let reward = search
-        .config()
-        .reward_kind
-        .evaluate(&eval, &target_names, search.config().reward);
-    let head_desc = if tag_epochs {
-        format!("{} @{epochs}ep", candidate.head)
-    } else {
-        candidate.head.to_string()
-    };
-    Ok(EpisodeRecord {
-        episode,
-        actions: actions.to_vec(),
-        model_names: candidate
-            .model_indices
-            .iter()
-            .filter_map(|&i| search.pool().get(i))
-            .map(|m| m.name().to_string())
-            .collect(),
-        head_desc,
-        accuracy: eval.accuracy,
-        unfairness: target_names
-            .iter()
-            .map(|n| eval.attribute(n).map_or(f32::NAN, |a| a.unfairness))
-            .collect(),
-        reward,
-        head_params: fusing.head_param_count(),
-        total_params: fusing.total_reported_params(search.pool()),
+    let mut record = EpisodeRecord::evaluated(
+        search,
+        actions.to_vec(),
+        &candidate,
+        &(fusing, eval),
         head_seed,
-        first_seen: episode,
-    })
+        episode,
+    );
+    if tag_epochs {
+        record.head_desc = format!("{} @{epochs}ep", candidate.head);
+    }
+    Ok(record)
 }
 
 /// Runs successive halving over `search`'s candidate space and returns the

@@ -6,11 +6,12 @@ use crate::{
     ProxyDataset, RewardConfig, RewardKind, RnnController, SearchSpace,
 };
 use muffin_data::{Dataset, DatasetSplit};
-use muffin_models::{fnv1a64, ModelPool, PoolRelation};
+use muffin_models::{fnv1a64, ModelEvaluation, ModelPool, PoolRelation};
 use muffin_par::WorkerPool;
 use muffin_tensor::{Rng64, SplitMix64};
 use muffin_trace::{Field, Tracer};
 use std::collections::{HashMap, HashSet};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Configuration of a full Muffin search.
@@ -150,6 +151,51 @@ muffin_json::impl_json!(struct EpisodeRecord {
     head_params, total_params, head_seed, first_seen,
 });
 
+impl EpisodeRecord {
+    /// The record of a candidate first evaluated at `episode`: its
+    /// validation metrics, the search's reward for them and the sizes of
+    /// the trained structure. Every search strategy builds its records
+    /// here.
+    pub(crate) fn evaluated(
+        search: &MuffinSearch,
+        actions: Vec<usize>,
+        candidate: &Candidate,
+        (fusing, eval): &(FusingStructure, ModelEvaluation),
+        head_seed: u64,
+        episode: u32,
+    ) -> Self {
+        let config = search.config();
+        let target_names: Vec<&str> = config
+            .target_attributes
+            .iter()
+            .map(String::as_str)
+            .collect();
+        Self {
+            episode,
+            actions,
+            model_names: candidate
+                .model_indices
+                .iter()
+                .filter_map(|&i| search.pool().get(i))
+                .map(|m| m.name().to_string())
+                .collect(),
+            head_desc: candidate.head.to_string(),
+            accuracy: eval.accuracy,
+            unfairness: target_names
+                .iter()
+                .map(|n| eval.attribute(n).map_or(f32::NAN, |a| a.unfairness))
+                .collect(),
+            reward: config
+                .reward_kind
+                .evaluate(eval, &target_names, config.reward),
+            head_params: fusing.head_param_count(),
+            total_params: fusing.total_reported_params(search.pool()),
+            head_seed,
+            first_seen: episode,
+        }
+    }
+}
+
 /// Result of a completed search: full history plus the best structures.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -273,10 +319,24 @@ impl SearchOutcome {
     ///
     /// # Errors
     ///
-    /// Returns an error string if the file cannot be read or parsed.
+    /// Returns an error string if the file cannot be read or parsed, or
+    /// if `best_by_reward` does not index a record of a non-empty
+    /// `history` (so [`SearchOutcome::best`] cannot panic on a loaded
+    /// outcome).
     pub fn load_json(path: impl AsRef<std::path::Path>) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        muffin_json::from_str(&text).map_err(|e| e.to_string())
+        let outcome: Self = muffin_json::from_str(&text).map_err(|e| e.to_string())?;
+        if outcome.history.is_empty() {
+            return Err("outcome history is empty: best_by_reward has no record to index".into());
+        }
+        if outcome.best_by_reward >= outcome.history.len() {
+            return Err(format!(
+                "outcome best_by_reward {} is out of range for a history of {} record(s)",
+                outcome.best_by_reward,
+                outcome.history.len()
+            ));
+        }
+        Ok(outcome)
     }
 }
 
@@ -316,7 +376,6 @@ pub struct MuffinSearch {
     privilege: PrivilegeMap,
     proxy: ProxyDataset,
     tracer: Tracer,
-    body_cache: bool,
 }
 
 /// The per-run [`BodyOutputCache`]s a search shares across all candidate
@@ -335,13 +394,49 @@ impl MuffinSearch {
     ///
     /// # Errors
     ///
-    /// Returns an error if the pool is empty, an attribute name is
-    /// unknown, or no unprivileged samples exist.
+    /// Returns an error if the pool is empty, the configuration is
+    /// inconsistent with it, an attribute name is unknown, or no
+    /// unprivileged samples exist.
     pub fn new(
         pool: ModelPool,
         split: DatasetSplit,
         config: SearchConfig,
     ) -> Result<Self, MuffinError> {
+        Self::validate(&pool, &config)?;
+        let attrs: Result<Vec<_>, _> = config
+            .target_attributes
+            .iter()
+            .map(|name| {
+                split
+                    .train
+                    .schema()
+                    .by_name(name)
+                    .ok_or_else(|| MuffinError::UnknownAttribute(name.clone()))
+            })
+            .collect();
+        let privilege = PrivilegeMap::infer(&pool, &split.val, &attrs?, config.privilege_margin);
+        Self::assemble(pool, split, config, privilege)
+    }
+
+    /// Prepares a search with an explicitly provided privilege map
+    /// (skipping inference).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`MuffinSearch::new`].
+    pub fn with_privilege(
+        pool: ModelPool,
+        split: DatasetSplit,
+        config: SearchConfig,
+        privilege: PrivilegeMap,
+    ) -> Result<Self, MuffinError> {
+        Self::validate(&pool, &config)?;
+        Self::assemble(pool, split, config, privilege)
+    }
+
+    /// The configuration checks both constructors share: everything the
+    /// search loop and [`MuffinSearch::space`] would otherwise panic on.
+    fn validate(pool: &ModelPool, config: &SearchConfig) -> Result<(), MuffinError> {
         if pool.is_empty() {
             return Err(MuffinError::EmptyPool);
         }
@@ -361,55 +456,27 @@ impl MuffinSearch {
                 pool.len()
             )));
         }
-        if let Some(space) = &config.space {
-            if space.pool_size() != pool.len() {
-                return Err(MuffinError::InvalidConfig(format!(
+        match &config.space {
+            Some(space) if space.pool_size() != pool.len() => {
+                Err(MuffinError::InvalidConfig(format!(
                     "config.space is over a pool of {}, actual pool has {}",
                     space.pool_size(),
                     pool.len()
-                )));
+                )))
             }
+            None if config.num_slots == 0 => Err(MuffinError::InvalidConfig(
+                "num_slots must be positive".into(),
+            )),
+            _ => Ok(()),
         }
-        let attrs: Result<Vec<_>, _> = config
-            .target_attributes
-            .iter()
-            .map(|name| {
-                split
-                    .train
-                    .schema()
-                    .by_name(name)
-                    .ok_or_else(|| MuffinError::UnknownAttribute(name.clone()))
-            })
-            .collect();
-        let attrs = attrs?;
-        let privilege = PrivilegeMap::infer(&pool, &split.val, &attrs, config.privilege_margin);
-        let proxy = ProxyDataset::build(&split.train, &privilege)?;
-        Ok(Self {
-            pool,
-            split,
-            config,
-            privilege,
-            proxy,
-            tracer: Tracer::noop(),
-            body_cache: true,
-        })
     }
 
-    /// Prepares a search with an explicitly provided privilege map
-    /// (skipping inference).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MuffinSearch::new`].
-    pub fn with_privilege(
+    fn assemble(
         pool: ModelPool,
         split: DatasetSplit,
         config: SearchConfig,
         privilege: PrivilegeMap,
     ) -> Result<Self, MuffinError> {
-        if pool.is_empty() {
-            return Err(MuffinError::EmptyPool);
-        }
         let proxy = ProxyDataset::build(&split.train, &privilege)?;
         Ok(Self {
             pool,
@@ -418,7 +485,6 @@ impl MuffinSearch {
             privilege,
             proxy,
             tracer: Tracer::noop(),
-            body_cache: true,
         })
     }
 
@@ -437,27 +503,6 @@ impl MuffinSearch {
     /// [`MuffinSearch::with_tracer`] was used).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Enables or disables the per-run [`crate::BodyOutputCache`]
-    /// (default: enabled).
-    ///
-    /// With the cache on, each frozen body model runs its forward pass
-    /// over the proxy and validation features **once per run** instead of
-    /// once per candidate, and per-batch `fusing.body_cache_hit` /
-    /// `fusing.body_cache_miss` counters are recorded. The
-    /// [`SearchOutcome`] is bit-identical either way (enforced by the
-    /// body-cache equivalence suite), so disabling it is only useful for
-    /// A/B benchmarking. Deliberately **not** part of [`SearchConfig`]:
-    /// checkpoint fingerprints must not depend on a pure optimisation.
-    pub fn with_body_cache(mut self, enabled: bool) -> Self {
-        self.body_cache = enabled;
-        self
-    }
-
-    /// Whether the per-run body-output cache is enabled.
-    pub fn body_cache(&self) -> bool {
-        self.body_cache
     }
 
     /// The model pool being searched over.
@@ -492,21 +537,19 @@ impl MuffinSearch {
         candidate: &Candidate,
         eval_on: &Dataset,
         head_seed: u64,
-    ) -> Result<(FusingStructure, muffin_models::ModelEvaluation), MuffinError> {
+    ) -> Result<(FusingStructure, ModelEvaluation), MuffinError> {
         self.evaluate_candidate_traced(candidate, eval_on, head_seed, &Tracer::noop())
     }
 
     /// Like [`MuffinSearch::evaluate_candidate`], recording head-training
-    /// spans and prediction latency into `tracer`. Used by the search loop
-    /// with per-job [`Tracer::fork`]s so concurrent evaluations keep a
-    /// deterministic event order.
+    /// spans and prediction latency into `tracer`.
     pub fn evaluate_candidate_traced(
         &self,
         candidate: &Candidate,
         eval_on: &Dataset,
         head_seed: u64,
         tracer: &Tracer,
-    ) -> Result<(FusingStructure, muffin_models::ModelEvaluation), MuffinError> {
+    ) -> Result<(FusingStructure, ModelEvaluation), MuffinError> {
         let mut head_rng = Rng64::seed(head_seed);
         let mut fusing = FusingStructure::new(
             candidate.model_indices.clone(),
@@ -536,10 +579,9 @@ impl MuffinSearch {
         &self,
         candidate: &Candidate,
         caches: &RunBodyCaches<'_>,
-        eval_on: &Dataset,
         head_seed: u64,
         tracer: &Tracer,
-    ) -> Result<(FusingStructure, muffin_models::ModelEvaluation), MuffinError> {
+    ) -> Result<(FusingStructure, ModelEvaluation), MuffinError> {
         let mut head_rng = Rng64::seed(head_seed);
         let mut fusing = FusingStructure::new(
             candidate.model_indices.clone(),
@@ -556,7 +598,7 @@ impl MuffinSearch {
             &mut head_rng,
             tracer,
         );
-        let eval = fusing.evaluate_cached_traced(&self.pool, &caches.val, eval_on, tracer);
+        let eval = fusing.evaluate_cached_traced(&self.pool, &caches.val, &self.split.val, tracer);
         Ok((fusing, eval))
     }
 
@@ -599,20 +641,6 @@ impl MuffinSearch {
         self.run_with_pool(rng, &WorkerPool::serial())
     }
 
-    /// Runs the search with candidate evaluations fanned out over
-    /// `workers` threads. See [`MuffinSearch::run_with_pool`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MuffinSearch::run`].
-    pub fn run_parallel(
-        &self,
-        rng: &mut Rng64,
-        workers: usize,
-    ) -> Result<SearchOutcome, MuffinError> {
-        self.run_with_pool(rng, &WorkerPool::new(workers))
-    }
-
     /// Runs the reinforcement-learning loop, evaluating each REINFORCE
     /// batch's uncached candidates on `pool`.
     ///
@@ -650,15 +678,27 @@ impl MuffinSearch {
     /// Builds the staleness fingerprint of a run starting from the given
     /// caller-RNG state: the exact identity a checkpoint or evaluation
     /// cache must carry to be replayed into this search.
-    fn fingerprint(&self, rng_state: [u64; 4], space: &SearchSpace) -> SearchFingerprint {
+    fn fingerprint(&self, rng_state: [u64; 4]) -> SearchFingerprint {
         SearchFingerprint::new(
             rng_state,
             &self.config,
-            space,
+            &self.space(),
             &muffin_json::to_string(&self.pool),
             self.pool.manifest(),
             &muffin_json::to_string(&self.split),
         )
+    }
+
+    /// Opens the `search.run` span one stretch of the episode loop
+    /// records into: a whole [`MuffinSearch::run_persistent`] call, or one
+    /// island's segment between two sharded round barriers.
+    pub(crate) fn run_span(&self) -> muffin_trace::Span<'_> {
+        let mut span = self.tracer.span("search.run");
+        span.field("episodes", self.config.episodes as usize);
+        span.field("slots", self.config.num_slots);
+        span.field("pool_models", self.pool.len());
+        span.field("reinforce_batch", self.config.reinforce_batch);
+        span
     }
 
     /// Like [`MuffinSearch::run_with_pool`], with durable persistence.
@@ -711,125 +751,33 @@ impl MuffinSearch {
                 "halt_after requires a checkpoint path".into(),
             ));
         }
-        let space = self.space();
         // Serialising the pool and split for hashing is not free; skip it
         // entirely for plain in-memory runs.
         let fingerprint = (opts.checkpoint.is_some() || opts.eval_cache.is_some())
-            .then(|| self.fingerprint(rng.state(), &space));
-
+            .then(|| self.fingerprint(rng.state()));
         let tracer = &self.tracer;
-        let mut run_span = tracer.span("search.run");
-        run_span.field("episodes", self.config.episodes as usize);
-        run_span.field("slots", self.config.num_slots);
-        run_span.field("pool_models", self.pool.len());
-        run_span.field("reinforce_batch", self.config.reinforce_batch);
-        // The controller always consumes the caller's RNG first, resumed
-        // or not: on resume both its parameters and the RNG are then
-        // overwritten from the checkpoint, so construction order stays a
-        // frozen part of the stream contract.
-        let mut controller = RnnController::new(space.clone(), self.config.controller, rng);
-        let target_names: Vec<&str> = self
-            .config
-            .target_attributes
-            .iter()
-            .map(String::as_str)
-            .collect();
+        let run_span = self.run_span();
 
-        let mut cache: HashMap<Vec<usize>, EpisodeRecord> = HashMap::new();
-        let mut disk_origin: HashSet<Vec<usize>> = HashSet::new();
-        let seed_stream_seed: u64;
-        let mut history: Vec<EpisodeRecord>;
-        let mut episode: u32;
-        // Round-tripped verbatim into every checkpoint this run writes:
-        // the sharded supervisor owns this counter, the search loop only
-        // preserves it across a resume.
-        let mut exchanges_applied = 0u32;
-        let mut pool_grew = false;
-        if opts.resume {
-            let path = opts.checkpoint.as_ref().expect("validated above");
-            let fp = fingerprint.as_ref().expect("checkpoint path set");
-            let (ckpt, relation) = SearchCheckpoint::load_for_resume(path, fp)?;
-            if ckpt.episode > self.config.episodes {
-                return Err(MuffinError::StaleArtifact(format!(
-                    "checkpoint {} already covers {} episodes, more than the requested {}",
-                    path.display(),
-                    ckpt.episode,
-                    self.config.episodes
-                )));
+        let (mut state, pool_grew) = match (&opts.checkpoint, &fingerprint) {
+            (Some(path), Some(fp)) if opts.resume => {
+                // Resuming also accepts a checkpoint written against a
+                // pool that has since grown by appended models.
+                let (ckpt, relation) = SearchCheckpoint::load_for_resume(path, fp)?;
+                let grew = matches!(relation, PoolRelation::Grew { .. });
+                (SearchState::from_checkpoint(self, rng, path, ckpt, &relation)?, grew)
             }
-            // A checkpoint ending mid-batch (the final snapshot of a
-            // finished run whose last batch was partial) can only stand
-            // in for a run with that same episode budget.
-            let on_boundary = ckpt.episode % self.config.reinforce_batch as u32 == 0;
-            if !on_boundary && ckpt.episode != self.config.episodes {
-                return Err(MuffinError::StaleArtifact(format!(
-                    "checkpoint {} ends mid-batch at episode {} (written by a {}-episode run); \
-                     it can only resume a run with that same episode budget",
-                    path.display(),
-                    ckpt.episode,
-                    ckpt.target_episodes
-                )));
-            }
-            match &relation {
-                PoolRelation::Identical => controller.import_state(ckpt.controller)?,
-                PoolRelation::Grew { added } => {
-                    // Warm start over the grown pool: rebuild the
-                    // controller for the new space from a deterministic
-                    // extension stream (so the new models' logits and
-                    // embedding rows are reproducible), then graft every
-                    // learned parameter and optimizer moment back in.
-                    let ext_seed =
-                        SplitMix64::new(ckpt.seed_stream_seed ^ fnv1a64(b"pool-extension"))
-                            .next_u64();
-                    controller = RnnController::new(
-                        space.clone(),
-                        self.config.controller,
-                        &mut Rng64::seed(ext_seed),
-                    );
-                    controller.import_extended(&ckpt.fingerprint.space, ckpt.controller)?;
-                    pool_grew = true;
-                    let names: Vec<String> =
-                        added.iter().map(ToString::to_string).collect();
-                    tracer.progress(|| {
-                        format!(
-                            "pool grew since checkpoint: warm-starting over {} added model(s): {}",
-                            names.len(),
-                            names.join(", ")
-                        )
-                    });
-                }
-                // load_for_resume never returns Changed.
-                PoolRelation::Changed { .. } => {
-                    return Err(MuffinError::StaleArtifact(
-                        "checkpoint pool relation must be identical or grown".into(),
-                    ))
-                }
-            }
-            *rng = Rng64::from_state(ckpt.rng_state);
-            seed_stream_seed = ckpt.seed_stream_seed;
-            episode = ckpt.episode;
-            history = ckpt.history;
-            exchanges_applied = ckpt.exchanges_applied;
-            for record in ckpt.cache {
-                cache.insert(record.actions.clone(), record);
-            }
-            tracer.progress(|| format!("resumed from {} at episode {episode}", path.display()));
-        } else {
-            seed_stream_seed = rng.next_u64();
-            episode = 0;
-            history = Vec::with_capacity(self.config.episodes as usize);
-        }
+            _ => (SearchState::fresh(self, rng), false),
+        };
 
-        if let Some(path) = &opts.eval_cache {
-            let fp = fingerprint.as_ref().expect("eval cache path set");
-            let loaded = EvalCacheFile::load_warm(path, fp, opts.eval_cache_shared)?;
-            if let Some((mut file, relation)) = loaded {
+        if let (Some(path), Some(fp)) = (&opts.eval_cache, &fingerprint) {
+            if let Some((mut file, relation)) = EvalCacheFile::load_warm(path, fp)? {
                 if matches!(relation, PoolRelation::Grew { .. }) {
                     // The cache predates the pool extension: translate
                     // every record's chosen models through their content
                     // ids into current pool indices (the identity map
                     // under prefix growth, but keyed by id on principle).
-                    let dropped = file.rekey_records(space.num_slots(), &self.pool.manifest());
+                    let dropped =
+                        file.rekey_records(state.space.num_slots(), &self.pool.manifest());
                     if dropped > 0 {
                         tracer.progress(|| {
                             format!(
@@ -847,319 +795,519 @@ impl MuffinSearch {
                         file.records.len()
                     )
                 });
-                for record in file.records {
-                    disk_origin.insert(record.actions.clone());
-                    // A resumed checkpoint's entry wins, though the two
-                    // are bit-identical whenever both exist.
-                    cache.entry(record.actions.clone()).or_insert(record);
-                }
+                state.seed_cache(&file.records);
             }
         }
-
-        // After a pool extension, the cached records were re-keyed through
-        // model content ids. Re-validate the best candidate so far from
-        // the cache before searching on: its action vector must still
-        // unite exactly the models its episode recorded, or the re-keying
-        // (or a pool edit the fingerprint could not see) scrambled model
-        // identity.
         if pool_grew {
-            let best = history
-                .iter()
-                .max_by(|a, b| a.reward.total_cmp(&b.reward));
-            if let Some(best) = best {
-                match cache.get(&best.actions) {
-                    Some(record) if record.model_names == best.model_names => {
-                        // Served from cache, not re-evaluated; the disk
-                        // counter keeps its meaning of "episodes answered
-                        // by records loaded from --eval-cache".
-                        if disk_origin.contains(&best.actions) {
-                            tracer.count("search.cache_hit_disk", 1);
-                        }
-                        let names = record.model_names.join(" + ");
-                        tracer.progress(|| {
-                            format!("re-validated best candidate ({names}) from the eval cache")
-                        });
-                    }
-                    Some(record) => {
-                        return Err(MuffinError::StaleArtifact(format!(
-                            "eval cache re-keying maps the best candidate to {}, but its \
-                             episode recorded {}",
-                            record.model_names.join(" + "),
-                            best.model_names.join(" + ")
-                        )))
-                    }
-                    None => {}
-                }
-            }
+            state.revalidate_best()?;
         }
 
-        // Per-episode head seeds, pre-derived so evaluation order (and the
-        // cache hit pattern) can never perturb the controller's stream.
-        let mut seed_stream = SplitMix64::new(seed_stream_seed);
-        let head_seeds: Vec<u64> = (0..self.config.episodes)
-            .map(|_| seed_stream.next_u64())
-            .collect();
-
-        // Frozen-body outputs never change within a run: compute each
-        // (model × split) forward once, lazily, and share the results
-        // read-only across all candidate evaluations and workers.
-        let body_caches = self.body_cache.then(|| RunBodyCaches {
-            proxy: crate::BodyOutputCache::new(
-                &self.pool,
-                self.split
-                    .train
-                    .features()
-                    .select_rows(self.proxy.indices()),
-            ),
-            val: crate::BodyOutputCache::new(&self.pool, self.split.val.features().clone()),
-            proxy_labels: self
-                .proxy
-                .indices()
-                .iter()
-                .map(|&i| self.split.train.labels()[i])
-                .collect(),
-        });
-        let mut last_body_hits = 0u64;
-        let mut last_body_misses = 0u64;
-
-        // Replay best-candidate tracking over the (possibly restored)
-        // history; identical to having tracked it live.
-        let mut best_idx = 0usize;
-        let mut best_reward = f32::MIN;
-        for (i, record) in history.iter().enumerate() {
-            if record.reward > best_reward {
-                best_reward = record.reward;
-                best_idx = i;
-            }
-        }
-
-        let mut last_checkpoint = episode;
-        while episode < self.config.episodes {
-            let mut batch_span = tracer.span("search.batch");
-            let batch_len =
-                (self.config.reinforce_batch as u32).min(self.config.episodes - episode) as usize;
-
-            // Phase 1: sample the whole batch under the frozen policy.
-            let sampled: Vec<crate::SampledEpisode> =
-                (0..batch_len).map(|_| controller.sample(rng)).collect();
-
-            // Phase 2: evaluate each distinct uncached action vector once,
-            // keyed to the episode of its first occurrence in this batch.
-            let mut jobs: Vec<(usize, Candidate, u64)> = Vec::new();
-            for (k, s) in sampled.iter().enumerate() {
-                let fresh = !cache.contains_key(&s.actions)
-                    && !jobs
-                        .iter()
-                        .any(|&(j, _, _)| sampled[j].actions == s.actions);
-                if fresh {
-                    let seed = head_seeds[episode as usize + k];
-                    jobs.push((k, space.decode(&s.actions)?, seed));
-                }
-            }
-            batch_span.field("episodes", batch_len);
-            // Worker-queue occupancy: distinct uncached candidates handed
-            // to the pool this batch.
-            batch_span.field("jobs", jobs.len());
-            tracer.count("search.cache_miss", jobs.len() as u64);
-            tracer.count("search.cache_hit", (batch_len - jobs.len()) as u64);
-            // Episodes served by records loaded from --eval-cache. Only
-            // emitted when non-zero so cold runs keep their exact
-            // pre-persistence trace shape.
-            let disk_hits = sampled
-                .iter()
-                .filter(|s| disk_origin.contains(&s.actions))
-                .count() as u64;
-            if disk_hits > 0 {
-                tracer.count("search.cache_hit_disk", disk_hits);
-            }
-
-            // Workers measure their own durations and record into per-job
-            // forks; the forks are absorbed below in job order, so the
-            // event log is identical for every worker count.
-            let forks: Vec<Tracer> = jobs.iter().map(|_| tracer.fork()).collect();
-            let evaluated = pool.map(&jobs, |idx, (_, candidate, seed)| {
-                let eval_start = Instant::now();
-                let result = match &body_caches {
-                    Some(caches) => self.evaluate_candidate_cached(
-                        candidate,
-                        caches,
-                        &self.split.val,
-                        *seed,
-                        &forks[idx],
-                    ),
-                    None => self.evaluate_candidate_traced(
-                        candidate,
-                        &self.split.val,
-                        *seed,
-                        &forks[idx],
-                    ),
-                };
-                (result, eval_start.elapsed())
-            });
-            // All evaluations are done (pool.map is a barrier), so the
-            // per-batch hit/miss deltas are deterministic at any worker
-            // count; emitted from this thread to keep the log shape fixed.
-            if let Some(caches) = &body_caches {
-                let hits = caches.proxy.hits() + caches.val.hits();
-                let misses = caches.proxy.misses() + caches.val.misses();
-                tracer.count("fusing.body_cache_hit", hits - last_body_hits);
-                tracer.count("fusing.body_cache_miss", misses - last_body_misses);
-                last_body_hits = hits;
-                last_body_misses = misses;
-            }
-            let mut eval_time: HashMap<Vec<usize>, Duration> = HashMap::new();
-            for ((&(k, ref candidate, seed), (result, took)), fork) in
-                jobs.iter().zip(evaluated).zip(&forks)
-            {
-                tracer.absorb(fork);
-                eval_time.insert(sampled[k].actions.clone(), took);
-                let (fusing, eval) = result?;
-                let first_seen = episode + k as u32;
-                let reward =
-                    self.config
-                        .reward_kind
-                        .evaluate(&eval, &target_names, self.config.reward);
-                let unfairness = target_names
-                    .iter()
-                    .map(|n| eval.attribute(n).map_or(f32::NAN, |a| a.unfairness))
-                    .collect();
-                let record = EpisodeRecord {
-                    episode: first_seen,
-                    actions: sampled[k].actions.clone(),
-                    model_names: candidate
-                        .model_indices
-                        .iter()
-                        .filter_map(|&i| self.pool.get(i))
-                        .map(|m| m.name().to_string())
-                        .collect(),
-                    head_desc: candidate.head.to_string(),
-                    accuracy: eval.accuracy,
-                    unfairness,
-                    reward,
-                    head_params: fusing.head_param_count(),
-                    total_params: fusing.total_reported_params(&self.pool),
-                    head_seed: seed,
-                    first_seen,
-                };
-                cache.insert(sampled[k].actions.clone(), record);
-            }
-
-            // Phase 3: merge records in episode order and update the
-            // policy once per batch (Eq. 4 with m = batch_len).
-            let mut pending: Vec<(crate::SampledEpisode, f32)> = Vec::with_capacity(batch_len);
-            for (k, s) in sampled.into_iter().enumerate() {
-                let mut record = cache
-                    .get(&s.actions)
-                    .expect("evaluated or cached above")
-                    .clone();
-                record.episode = episode + k as u32;
-                if record.reward > best_reward {
-                    best_reward = record.reward;
-                    best_idx = history.len();
-                }
-                if tracer.is_enabled() {
-                    let cached = record.first_seen != record.episode;
-                    let took = if cached {
-                        Duration::ZERO
-                    } else {
-                        eval_time.get(&s.actions).copied().unwrap_or(Duration::ZERO)
-                    };
-                    let mut fields = vec![
-                        Field::new("episode", record.episode as usize),
-                        Field::new("first_seen", record.first_seen as usize),
-                        Field::new("cached", i64::from(cached)),
-                        Field::new("reward", record.reward),
-                        Field::new("accuracy", record.accuracy),
-                    ];
-                    for (name, u) in target_names.iter().zip(&record.unfairness) {
-                        fields.push(Field::new(format!("U_{name}"), *u));
-                    }
-                    tracer.record_span("search.episode", fields, took);
-                }
-                pending.push((s, record.reward));
-                history.push(record);
-            }
-            controller.update_batch(&pending);
-            episode += batch_len as u32;
-            batch_span.finish();
-            tracer.progress(|| {
-                format!(
-                    "episode {episode}/{}: {} new evaluation(s), best reward {best_reward:.3}",
-                    self.config.episodes,
-                    jobs.len(),
-                )
-            });
-
-            // The batch boundary is the only point the whole loop state
-            // is summarised by (rng, controller, history, cache) — the
-            // only point a checkpoint can resume from without drift.
+        let episodes = self.config.episodes;
+        let mut last_checkpoint = state.episode();
+        while state.episode() < episodes {
+            state.step_batch(pool)?;
+            let episode = state.episode();
             let halting = opts
                 .halt_after
-                .is_some_and(|h| episode >= h && episode < self.config.episodes);
+                .is_some_and(|h| episode >= h && episode < episodes);
             if let (Some(path), Some(fp)) = (&opts.checkpoint, &fingerprint) {
                 let due = episode - last_checkpoint >= opts.checkpoint_every
-                    || episode == self.config.episodes
+                    || episode == episodes
                     || halting;
                 if due {
-                    let mut cache_records: Vec<EpisodeRecord> = cache.values().cloned().collect();
-                    cache_records.sort_by(|a, b| a.actions.cmp(&b.actions));
-                    let ckpt = SearchCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        fingerprint: fp.clone(),
-                        target_episodes: self.config.episodes,
-                        episode,
-                        rng_state: rng.state(),
-                        seed_stream_seed,
-                        controller: controller.export_state(),
-                        history: history.clone(),
-                        cache: cache_records,
-                        exchanges_applied,
-                    };
-                    ckpt.save(path)?;
+                    state.checkpoint(fp).save(path)?;
                     last_checkpoint = episode;
                     tracer.count("search.checkpoint_write", 1);
                 }
             }
             if halting {
-                self.write_eval_cache(opts, &fingerprint, &cache)?;
+                self.write_eval_cache(opts, &fingerprint, &state)?;
                 run_span.finish();
                 return Err(MuffinError::Halted { episode });
             }
         }
         run_span.finish();
-        self.write_eval_cache(opts, &fingerprint, &cache)?;
-
-        Ok(SearchOutcome {
-            history,
-            best_by_reward: best_idx,
-            target_attributes: self.config.target_attributes.clone(),
-        })
+        self.write_eval_cache(opts, &fingerprint, &state)?;
+        Ok(state.into_outcome())
     }
 
     /// Rewrites the cross-run evaluation cache (when configured) with the
     /// union of what was loaded and what this run evaluated, merging with
     /// any concurrent writer's entries ([`EvalCacheFile::save_merged`]).
-    /// A no-op when the options mark the cache read-only.
     fn write_eval_cache(
         &self,
         opts: &PersistenceOptions,
         fingerprint: &Option<SearchFingerprint>,
-        cache: &HashMap<Vec<usize>, EpisodeRecord>,
+        state: &SearchState<'_>,
     ) -> Result<(), MuffinError> {
         let (Some(path), Some(fp)) = (&opts.eval_cache, fingerprint) else {
             return Ok(());
         };
-        if opts.eval_cache_read_only {
-            return Ok(());
-        }
-        let mut records: Vec<EpisodeRecord> = cache.values().cloned().collect();
-        records.sort_by(|a, b| a.actions.cmp(&b.actions));
         let file = EvalCacheFile {
             version: CHECKPOINT_VERSION,
             fingerprint: fp.clone(),
-            records,
+            records: state.cache_records(),
         };
         file.save_merged(path)
+    }
+}
+
+/// Everything the episode loop carries from one REINFORCE batch to the
+/// next, held in memory: the caller's RNG, the pre-derived head seeds, the
+/// controller, the history, the evaluation cache and the run's frozen-body
+/// caches.
+///
+/// [`SearchState::step_batch`] is the loop's only step.
+/// [`MuffinSearch::run_persistent`] drives one state to the episode
+/// budget, and [`crate::run_sharded`] drives one per island, round by
+/// round, without ever reloading it from disk.
+pub(crate) struct SearchState<'s> {
+    search: &'s MuffinSearch,
+    space: SearchSpace,
+    rng: &'s mut Rng64,
+    seed_stream_seed: u64,
+    /// Per-episode head seeds, pre-derived so evaluation order (and the
+    /// cache hit pattern) can never perturb the controller's stream.
+    head_seeds: Vec<u64>,
+    controller: RnnController,
+    history: Vec<EpisodeRecord>,
+    cache: HashMap<Vec<usize>, EpisodeRecord>,
+    /// Action vectors of the last [`SearchState::seed_cache`] input.
+    disk_origin: HashSet<Vec<usize>>,
+    best_idx: usize,
+    best_reward: f32,
+    /// Round-tripped verbatim through every checkpoint: only the sharded
+    /// supervisor advances it, through [`SearchState::apply_elites`].
+    exchanges_applied: u32,
+    /// Frozen-body outputs never change within a run: each (model ×
+    /// split) forward runs once, lazily, shared read-only across all
+    /// candidate evaluations and workers.
+    bodies: RunBodyCaches<'s>,
+    body_hits: u64,
+    body_misses: u64,
+}
+
+impl<'s> SearchState<'s> {
+    /// A new run: the controller consumes the caller's RNG first, then one
+    /// draw seeds the head-seed stream.
+    pub(crate) fn fresh(search: &'s MuffinSearch, rng: &'s mut Rng64) -> Self {
+        let space = search.space();
+        let controller = RnnController::new(space.clone(), search.config.controller, rng);
+        let seed_stream_seed = rng.next_u64();
+        Self::assemble(search, space, rng, controller, seed_stream_seed, Vec::new())
+    }
+
+    /// Continues the run `ckpt` snapshots. `relation` says how the current
+    /// pool relates to the checkpoint's: identical, or grown by appended
+    /// models (a warm start over the extended space).
+    ///
+    /// The controller still consumes the caller's RNG first, so
+    /// construction order stays a frozen part of the stream contract; its
+    /// parameters and the RNG are then overwritten from the checkpoint.
+    pub(crate) fn from_checkpoint(
+        search: &'s MuffinSearch,
+        rng: &'s mut Rng64,
+        path: &Path,
+        ckpt: SearchCheckpoint,
+        relation: &PoolRelation,
+    ) -> Result<Self, MuffinError> {
+        let space = search.space();
+        let mut controller = RnnController::new(space.clone(), search.config.controller, rng);
+        let episodes = search.config.episodes;
+        if ckpt.episode > episodes {
+            return Err(MuffinError::StaleArtifact(format!(
+                "checkpoint {} already covers {} episodes, more than the requested {episodes}",
+                path.display(),
+                ckpt.episode,
+            )));
+        }
+        // A checkpoint ending mid-batch (the final snapshot of a finished
+        // run whose last batch was partial) can only stand in for a run
+        // with that same episode budget.
+        let on_boundary = ckpt.episode % search.config.reinforce_batch as u32 == 0;
+        if !on_boundary && ckpt.episode != episodes {
+            return Err(MuffinError::StaleArtifact(format!(
+                "checkpoint {} ends mid-batch at episode {} (written by a {}-episode run); \
+                 it can only resume a run with that same episode budget",
+                path.display(),
+                ckpt.episode,
+                ckpt.target_episodes
+            )));
+        }
+        match relation {
+            PoolRelation::Identical => controller.import_state(ckpt.controller)?,
+            PoolRelation::Grew { added } => {
+                // Warm start over the grown pool: rebuild the controller
+                // for the new space from a deterministic extension stream
+                // (so the new models' logits and embedding rows are
+                // reproducible), then graft every learned parameter and
+                // optimizer moment back in.
+                let ext_seed =
+                    SplitMix64::new(ckpt.seed_stream_seed ^ fnv1a64(b"pool-extension")).next_u64();
+                controller = RnnController::new(
+                    space.clone(),
+                    search.config.controller,
+                    &mut Rng64::seed(ext_seed),
+                );
+                controller.import_extended(&ckpt.fingerprint.space, ckpt.controller)?;
+                let names: Vec<String> = added.iter().map(ToString::to_string).collect();
+                search.tracer.progress(|| {
+                    format!(
+                        "pool grew since checkpoint: warm-starting over {} added model(s): {}",
+                        names.len(),
+                        names.join(", ")
+                    )
+                });
+            }
+            PoolRelation::Changed { .. } => {
+                return Err(MuffinError::StaleArtifact(
+                    "checkpoint pool relation must be identical or grown".into(),
+                ))
+            }
+        }
+        *rng = Rng64::from_state(ckpt.rng_state);
+        let mut state = Self::assemble(
+            search,
+            space,
+            rng,
+            controller,
+            ckpt.seed_stream_seed,
+            ckpt.history,
+        );
+        state.exchanges_applied = ckpt.exchanges_applied;
+        state.cache = ckpt
+            .cache
+            .into_iter()
+            .map(|record| (record.actions.clone(), record))
+            .collect();
+        search.tracer.progress(|| {
+            format!(
+                "resumed from {} at episode {}",
+                path.display(),
+                state.episode()
+            )
+        });
+        Ok(state)
+    }
+
+    fn assemble(
+        search: &'s MuffinSearch,
+        space: SearchSpace,
+        rng: &'s mut Rng64,
+        controller: RnnController,
+        seed_stream_seed: u64,
+        history: Vec<EpisodeRecord>,
+    ) -> Self {
+        let mut seed_stream = SplitMix64::new(seed_stream_seed);
+        let head_seeds = (0..search.config.episodes)
+            .map(|_| seed_stream.next_u64())
+            .collect();
+        let bodies = RunBodyCaches {
+            proxy: crate::BodyOutputCache::new(
+                &search.pool,
+                search
+                    .split
+                    .train
+                    .features()
+                    .select_rows(search.proxy.indices()),
+            ),
+            val: crate::BodyOutputCache::new(&search.pool, search.split.val.features().clone()),
+            proxy_labels: search
+                .proxy
+                .indices()
+                .iter()
+                .map(|&i| search.split.train.labels()[i])
+                .collect(),
+        };
+        let mut state = Self {
+            search,
+            space,
+            rng,
+            seed_stream_seed,
+            head_seeds,
+            controller,
+            history: Vec::with_capacity(search.config.episodes as usize),
+            cache: HashMap::new(),
+            disk_origin: HashSet::new(),
+            best_idx: 0,
+            best_reward: f32::MIN,
+            exchanges_applied: 0,
+            bodies,
+            body_hits: 0,
+            body_misses: 0,
+        };
+        // Replaying best-candidate tracking over a restored history is
+        // identical to having tracked it live.
+        for record in history {
+            state.push(record);
+        }
+        state
+    }
+
+    /// The search this state steps.
+    pub(crate) fn search(&self) -> &'s MuffinSearch {
+        self.search
+    }
+
+    /// Completed episodes.
+    pub(crate) fn episode(&self) -> u32 {
+        self.history.len() as u32
+    }
+
+    /// Elite-exchange rounds folded into the controller so far.
+    pub(crate) fn exchanges_applied(&self) -> u32 {
+        self.exchanges_applied
+    }
+
+    /// One record per completed episode, in order.
+    pub(crate) fn history(&self) -> &[EpisodeRecord] {
+        &self.history
+    }
+
+    /// The evaluation cache, sorted by action vector.
+    pub(crate) fn cache_records(&self) -> Vec<EpisodeRecord> {
+        let mut records: Vec<EpisodeRecord> = self.cache.values().cloned().collect();
+        records.sort_by(|a, b| a.actions.cmp(&b.actions));
+        records
+    }
+
+    /// Adds evaluations made elsewhere (an eval-cache file, a sharded
+    /// round snapshot) to the cache; an entry already present wins.
+    /// Episodes served by these records count on `search.cache_hit_disk`
+    /// until the next call.
+    pub(crate) fn seed_cache(&mut self, records: &[EpisodeRecord]) {
+        self.disk_origin = records.iter().map(|r| r.actions.clone()).collect();
+        for record in records {
+            self.cache
+                .entry(record.actions.clone())
+                .or_insert_with(|| record.clone());
+        }
+    }
+
+    /// After a pool extension, the cached records were re-keyed through
+    /// model content ids. Re-validates the best candidate so far from the
+    /// cache: its action vector must still unite exactly the models its
+    /// episode recorded, or the re-keying (or a pool edit the fingerprint
+    /// could not see) scrambled model identity.
+    fn revalidate_best(&self) -> Result<(), MuffinError> {
+        let tracer = &self.search.tracer;
+        let best = self
+            .history
+            .iter()
+            .max_by(|a, b| a.reward.total_cmp(&b.reward));
+        let Some(best) = best else {
+            return Ok(());
+        };
+        match self.cache.get(&best.actions) {
+            Some(record) if record.model_names == best.model_names => {
+                // Served from cache, not re-evaluated; the disk counter
+                // keeps its meaning of "episodes answered by records
+                // loaded from --eval-cache".
+                if self.disk_origin.contains(&best.actions) {
+                    tracer.count("search.cache_hit_disk", 1);
+                }
+                let names = record.model_names.join(" + ");
+                tracer.progress(|| {
+                    format!("re-validated best candidate ({names}) from the eval cache")
+                });
+                Ok(())
+            }
+            Some(record) => Err(MuffinError::StaleArtifact(format!(
+                "eval cache re-keying maps the best candidate to {}, but its \
+                 episode recorded {}",
+                record.model_names.join(" + "),
+                best.model_names.join(" + ")
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    fn push(&mut self, record: EpisodeRecord) {
+        if record.reward > self.best_reward {
+            self.best_reward = record.reward;
+            self.best_idx = self.history.len();
+        }
+        self.history.push(record);
+    }
+
+    /// Runs one REINFORCE batch — the only place the loop samples,
+    /// evaluates, merges and updates the policy (see
+    /// [`MuffinSearch::run_with_pool`] for the three phases). The batch
+    /// ends at the next multiple of the batch size or at the episode
+    /// budget, whichever comes first.
+    pub(crate) fn step_batch(&mut self, workers: &WorkerPool) -> Result<(), MuffinError> {
+        let search = self.search;
+        let config = &search.config;
+        let tracer = &search.tracer;
+        let episode = self.episode();
+        let mut batch_span = tracer.span("search.batch");
+        let batch_len = (config.reinforce_batch as u32).min(config.episodes - episode) as usize;
+
+        // Phase 1: sample the whole batch under the frozen policy.
+        let sampled: Vec<crate::SampledEpisode> = (0..batch_len)
+            .map(|_| self.controller.sample(self.rng))
+            .collect();
+
+        // Phase 2: evaluate each distinct uncached action vector once,
+        // keyed to the episode of its first occurrence in this batch.
+        let mut jobs: Vec<(usize, Candidate, u64)> = Vec::new();
+        for (k, s) in sampled.iter().enumerate() {
+            let fresh = !self.cache.contains_key(&s.actions)
+                && !jobs
+                    .iter()
+                    .any(|&(j, _, _)| sampled[j].actions == s.actions);
+            if fresh {
+                let seed = self.head_seeds[episode as usize + k];
+                jobs.push((k, self.space.decode(&s.actions)?, seed));
+            }
+        }
+        batch_span.field("episodes", batch_len);
+        // Worker-queue occupancy: distinct uncached candidates handed to
+        // the pool this batch.
+        batch_span.field("jobs", jobs.len());
+        tracer.count("search.cache_miss", jobs.len() as u64);
+        tracer.count("search.cache_hit", (batch_len - jobs.len()) as u64);
+        // Episodes served by records loaded from disk. Only emitted when
+        // non-zero so cold runs keep their exact pre-persistence trace
+        // shape.
+        let disk_hits = sampled
+            .iter()
+            .filter(|s| self.disk_origin.contains(&s.actions))
+            .count() as u64;
+        if disk_hits > 0 {
+            tracer.count("search.cache_hit_disk", disk_hits);
+        }
+
+        // Workers measure their own durations and record into per-job
+        // forks; the forks are absorbed below in job order, so the event
+        // log is identical for every worker count.
+        let forks: Vec<Tracer> = jobs.iter().map(|_| tracer.fork()).collect();
+        let bodies = &self.bodies;
+        let evaluated = workers.map(&jobs, |idx, (_, candidate, seed)| {
+            let eval_start = Instant::now();
+            let result = search.evaluate_candidate_cached(candidate, bodies, *seed, &forks[idx]);
+            (result, eval_start.elapsed())
+        });
+        // All evaluations are done (map is a barrier), so the per-batch
+        // hit/miss deltas are deterministic at any worker count; emitted
+        // from this thread to keep the log shape fixed.
+        let hits = bodies.proxy.hits() + bodies.val.hits();
+        let misses = bodies.proxy.misses() + bodies.val.misses();
+        tracer.count("fusing.body_cache_hit", hits - self.body_hits);
+        tracer.count("fusing.body_cache_miss", misses - self.body_misses);
+        self.body_hits = hits;
+        self.body_misses = misses;
+        let mut eval_time: HashMap<Vec<usize>, Duration> = HashMap::new();
+        for ((&(k, ref candidate, seed), (result, took)), fork) in
+            jobs.iter().zip(evaluated).zip(&forks)
+        {
+            tracer.absorb(fork);
+            eval_time.insert(sampled[k].actions.clone(), took);
+            let evaluation = result?;
+            let record = EpisodeRecord::evaluated(
+                search,
+                sampled[k].actions.clone(),
+                candidate,
+                &evaluation,
+                seed,
+                episode + k as u32,
+            );
+            self.cache.insert(sampled[k].actions.clone(), record);
+        }
+
+        // Phase 3: merge records in episode order and update the policy
+        // once per batch (Eq. 4 with m = batch_len).
+        let target_names = &config.target_attributes;
+        let mut pending: Vec<(crate::SampledEpisode, f32)> = Vec::with_capacity(batch_len);
+        for (k, s) in sampled.into_iter().enumerate() {
+            let mut record = self
+                .cache
+                .get(&s.actions)
+                .expect("evaluated or cached above")
+                .clone();
+            record.episode = episode + k as u32;
+            if tracer.is_enabled() {
+                let cached = record.first_seen != record.episode;
+                let took = if cached {
+                    Duration::ZERO
+                } else {
+                    eval_time.get(&s.actions).copied().unwrap_or(Duration::ZERO)
+                };
+                let mut fields = vec![
+                    Field::new("episode", record.episode as usize),
+                    Field::new("first_seen", record.first_seen as usize),
+                    Field::new("cached", i64::from(cached)),
+                    Field::new("reward", record.reward),
+                    Field::new("accuracy", record.accuracy),
+                ];
+                for (name, u) in target_names.iter().zip(&record.unfairness) {
+                    fields.push(Field::new(format!("U_{name}"), *u));
+                }
+                tracer.record_span("search.episode", fields, took);
+            }
+            pending.push((s, record.reward));
+            self.push(record);
+        }
+        self.controller.update_batch(&pending);
+        batch_span.finish();
+        tracer.progress(|| {
+            format!(
+                "episode {}/{}: {} new evaluation(s), best reward {:.3}",
+                self.episode(),
+                config.episodes,
+                jobs.len(),
+                self.best_reward,
+            )
+        });
+        Ok(())
+    }
+
+    /// Snapshots the state at the current batch boundary — the only point
+    /// the whole loop state is summarised by (rng, controller, history,
+    /// cache), so the only point a run can resume from without drift.
+    pub(crate) fn checkpoint(&mut self, fingerprint: &SearchFingerprint) -> SearchCheckpoint {
+        SearchCheckpoint {
+            version: CHECKPOINT_VERSION,
+            fingerprint: fingerprint.clone(),
+            target_episodes: self.search.config.episodes,
+            episode: self.episode(),
+            rng_state: self.rng.state(),
+            seed_stream_seed: self.seed_stream_seed,
+            controller: self.controller.export_state(),
+            history: self.history.clone(),
+            cache: self.cache_records(),
+            exchanges_applied: self.exchanges_applied,
+        }
+    }
+
+    /// Nudges the live policy toward a sharded fleet's elites: replays
+    /// each elite teacher-forced and applies one batched REINFORCE update
+    /// at the elites' observed rewards. Records `round` as the last
+    /// exchange applied, so a checkpoint written next can never replay
+    /// it.
+    pub(crate) fn apply_elites(
+        &mut self,
+        elites: &[EpisodeRecord],
+        round: u32,
+    ) -> Result<(), MuffinError> {
+        if !elites.is_empty() {
+            let batch: Vec<(crate::SampledEpisode, f32)> = elites
+                .iter()
+                .map(|e| self.controller.replay(&e.actions).map(|ep| (ep, e.reward)))
+                .collect::<Result<_, _>>()?;
+            self.controller.update_batch(&batch);
+        }
+        self.exchanges_applied = round;
+        Ok(())
+    }
+
+    /// The finished run's history and its best record.
+    pub(crate) fn into_outcome(self) -> SearchOutcome {
+        SearchOutcome {
+            history: self.history,
+            best_by_reward: self.best_idx,
+            target_attributes: self.search.config.target_attributes.clone(),
+        }
     }
 }
 
@@ -1303,6 +1451,70 @@ mod tests {
         assert!(msg.contains("line 2"), "missing line in: {msg}");
         assert!(msg.contains("column"), "missing column in: {msg}");
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn outcome_with_an_unindexable_best_is_rejected_naming_the_field() {
+        let path = std::env::temp_dir().join("muffin_outcome_bad_best.json");
+        let attrs = vec!["age".to_string()];
+        let write = |outcome: &SearchOutcome| {
+            std::fs::write(&path, muffin_json::to_string(outcome)).expect("write")
+        };
+        write(&SearchOutcome {
+            history: Vec::new(),
+            best_by_reward: 3,
+            target_attributes: attrs.clone(),
+        });
+        let msg = SearchOutcome::load_json(&path).unwrap_err();
+        assert!(msg.contains("history is empty"), "{msg}");
+        write(&SearchOutcome {
+            history: vec![synthetic_record(0, vec![0.1], 1.0)],
+            best_by_reward: 3,
+            target_attributes: attrs,
+        });
+        let msg = SearchOutcome::load_json(&path).unwrap_err();
+        assert!(msg.contains("best_by_reward 3 is out of range"), "{msg}");
+        std::fs::remove_file(path).ok();
+    }
+
+    /// `with_privilege` runs the same configuration checks as `new`.
+    fn with_privilege_error(config: SearchConfig) -> MuffinError {
+        let (search, _) = setup(2);
+        MuffinSearch::with_privilege(
+            search.pool().clone(),
+            search.split().clone(),
+            config,
+            search.privilege().clone(),
+        )
+        .unwrap_err()
+    }
+
+    #[test]
+    fn with_privilege_rejects_a_zero_reinforce_batch() {
+        let config = SearchConfig::fast(&["age", "site"]).with_reinforce_batch(0);
+        let err = with_privilege_error(config);
+        assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("reinforce_batch")));
+    }
+
+    #[test]
+    fn with_privilege_rejects_an_out_of_range_required_model() {
+        let config = SearchConfig::fast(&["age", "site"]).with_required_models(vec![7]);
+        let err = with_privilege_error(config);
+        assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("required model 7")));
+    }
+
+    #[test]
+    fn with_privilege_rejects_zero_episodes() {
+        let config = SearchConfig::fast(&["age", "site"]).with_episodes(0);
+        let err = with_privilege_error(config);
+        assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("episodes")));
+    }
+
+    #[test]
+    fn zero_slots_are_rejected_instead_of_panicking_in_space() {
+        let config = SearchConfig::fast(&["age", "site"]).with_slots(0);
+        let err = with_privilege_error(config);
+        assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("num_slots")));
     }
 
     #[test]

@@ -42,19 +42,18 @@
 //! only on (config, space, pool, data), so any island may consume any
 //! other island's records.
 
-use crate::checkpoint::{
-    EvalCacheFile, PersistenceOptions, SearchCheckpoint, SearchFingerprint, CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{EvalCacheFile, SearchCheckpoint, SearchFingerprint, CHECKPOINT_VERSION};
 use crate::halving::{evaluate_at_epochs, promote, rung_budgets};
-use crate::search::{EpisodeRecord, SearchConfig, SearchOutcome};
-use crate::{MuffinError, MuffinSearch, RnnController, SampledEpisode};
+use crate::search::{EpisodeRecord, SearchConfig, SearchOutcome, SearchState};
+use crate::{MuffinError, MuffinSearch};
 use muffin_data::DatasetSplit;
-use muffin_models::ModelPool;
+use muffin_models::{ModelPool, PoolRelation};
 use muffin_par::WorkerPool;
 use muffin_tensor::{Rng64, SplitMix64};
 use muffin_trace::Tracer;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Configuration of a sharded search fleet.
 ///
@@ -261,22 +260,17 @@ impl FleetPaths {
     fn elites_round(&self, round: u32) -> PathBuf {
         self.dir.join(format!("elites-round-{round}.json"))
     }
-    fn round_input(&self, round: u32) -> PathBuf {
-        if round == 0 {
-            self.cache_screen()
-        } else {
-            self.cache_round(round - 1)
-        }
-    }
 }
 
 /// Runs a sharded multi-island search and returns the merged outcome.
 ///
 /// `dir` holds all fleet state: the identity manifest, one checkpoint per
-/// island, per-round cache snapshots and elite files. With `resume` the
-/// fleet continues from whatever state the directory holds (any subset of
-/// islands at any boundary); without it, stale fleet artifacts in `dir`
-/// are removed first.
+/// island, per-round cache snapshots and elite files. The fleet keeps
+/// every island's search state in memory and writes these files only for
+/// fault tolerance. With `resume` the fleet continues from whatever state
+/// the directory holds (any subset of islands at any boundary); without
+/// it, stale fleet artifacts in `dir` are removed first and nothing is
+/// read back.
 ///
 /// `warm_cache`, when given, is an external shared-mode eval-cache file:
 /// read before the screen so a previous fleet's work is reused, and
@@ -355,6 +349,8 @@ pub fn run_sharded(
         }
         crate::checkpoint::write_atomic(&paths.manifest(), &muffin_json::to_string(&manifest))?;
     }
+    // Fleet files another run wrote are only ever read on resume.
+    let on_disk = |path: &Path| resume && path.exists();
 
     // Serialise identity inputs once; build per-island fingerprints (the
     // entry RNG state differs per island) and the fleet fingerprint used
@@ -388,27 +384,21 @@ pub fn run_sharded(
         );
     }
 
+    let fingerprint = |rng_state: [u64; 4]| {
+        SearchFingerprint::new(
+            rng_state,
+            &island_config,
+            &space,
+            &pool_json,
+            pool.manifest(),
+            &split_json,
+        )
+    };
     let island_fp: Vec<SearchFingerprint> = island_seeds
         .iter()
-        .map(|&(search_seed, _)| {
-            SearchFingerprint::new(
-                Rng64::seed(search_seed).state(),
-                &island_config,
-                &space,
-                &pool_json,
-                pool.manifest(),
-                &split_json,
-            )
-        })
+        .map(|&(search_seed, _)| fingerprint(Rng64::seed(search_seed).state()))
         .collect();
-    let fleet_fp = SearchFingerprint::new(
-        Rng64::seed(seed).state(),
-        &island_config,
-        &space,
-        &pool_json,
-        pool.manifest(),
-        &split_json,
-    );
+    let fleet_fp = fingerprint(Rng64::seed(seed).state());
 
     let mut run_span = tracer.span("sharded.run");
     run_span.field("islands", islands);
@@ -417,11 +407,35 @@ pub fn run_sharded(
     run_span.field("screen_budget", sharded.screen_budget as usize);
 
     let outer = WorkerPool::new(sharded.shards.min(islands));
+    let indices: Vec<usize> = (0..islands).collect();
+
+    // ---- Island states: one per island for the whole fleet. ----
+    let mut rngs: Vec<Rng64> = island_seeds
+        .iter()
+        .map(|&(search_seed, _)| Rng64::seed(search_seed))
+        .collect();
+    let states: Vec<Mutex<SearchState<'_>>> = fleet
+        .iter()
+        .zip(rngs.iter_mut())
+        .enumerate()
+        .map(|(i, (search, rng))| {
+            let path = paths.shard_checkpoint(i);
+            let state = if on_disk(&path) {
+                SearchCheckpoint::load(&path, &island_fp[i]).and_then(|ckpt| {
+                    SearchState::from_checkpoint(search, rng, &path, ckpt, &PoolRelation::Identical)
+                })
+            } else {
+                Ok(SearchState::fresh(search, rng))
+            };
+            state.map(Mutex::new).map_err(|e| shard_error(i, e))
+        })
+        .collect::<Result<_, _>>()?;
 
     // ---- Screen phase: successive-halving warm-up feeding round 0. ----
-    if !paths.cache_screen().exists() {
+    let mut round_input: Vec<EpisodeRecord> = if on_disk(&paths.cache_screen()) {
+        load_round_file(&paths.cache_screen(), &fleet_fp)?
+    } else {
         let screened: Vec<Vec<EpisodeRecord>> = if sharded.screen_budget > 0 {
-            let indices: Vec<usize> = (0..islands).collect();
             outer
                 .map(&indices, |_, &i| {
                     run_screen(&fleet[i], sharded, island_seeds[i].1).map_err(|e| shard_error(i, e))
@@ -441,55 +455,40 @@ pub fn run_sharded(
         if let Some(warm) = warm_cache {
             if let Some(file) = EvalCacheFile::load_shared(warm, &fleet_fp)? {
                 tracer.progress(|| format!("warm cache: {} record(s)", file.records.len()));
-                for record in file.records {
-                    if seen.insert(record.actions.clone()) {
-                        records.push(record);
-                    }
-                }
+                records.extend(
+                    file.records
+                        .into_iter()
+                        .filter(|r| seen.insert(r.actions.clone())),
+                );
             }
         }
         for island_records in screened {
-            for record in island_records {
-                if seen.insert(record.actions.clone()) {
-                    records.push(record);
-                }
-            }
+            records.extend(
+                island_records
+                    .into_iter()
+                    .filter(|r| seen.insert(r.actions.clone())),
+            );
         }
         records.sort_by(|a, b| a.actions.cmp(&b.actions));
         tracer.progress(|| format!("screen snapshot: {} record(s)", records.len()));
-        EvalCacheFile {
-            version: CHECKPOINT_VERSION,
-            fingerprint: fleet_fp.clone(),
-            records,
-        }
-        .save(paths.cache_screen())?;
-    }
+        save_round_file(&paths.cache_screen(), &fleet_fp, &records)?;
+        records
+    };
 
     // ---- Rounds: segments between elite-exchange barriers. ----
-    let mut round_elites: Vec<EpisodeRecord> = Vec::new();
+    let mut elites: Vec<EpisodeRecord> = Vec::new();
     for round in 0..rounds {
         let end = (segment * (round + 1)).min(island_episodes);
-        let input_cache = paths.round_input(round);
-        if round > 0 {
-            round_elites = EvalCacheFile::load_shared(&paths.elites_round(round - 1), &fleet_fp)?
-                .map(|f| f.records)
-                .unwrap_or_default();
-        }
-        let indices: Vec<usize> = (0..islands).collect();
-        let elites_ref = &round_elites;
-        let input_ref = &input_cache;
         let results = outer.map(&indices, |_, &i| {
-            run_island_segment(
-                &fleet[i],
+            let mut state = states[i].lock().expect("island state poisoned");
+            step_island(
+                &mut state,
                 &paths.shard_checkpoint(i),
                 &island_fp[i],
-                island_seeds[i].0,
-                input_ref,
-                elites_ref,
+                &WorkerPool::new(sharded.island_workers),
+                (&round_input, &elites),
                 round,
                 end,
-                island_episodes,
-                sharded,
             )
             .map_err(|e| shard_error(i, e))
         });
@@ -501,73 +500,86 @@ pub fn run_sharded(
         results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         // Barrier: publish the round's elites and cache snapshot before
-        // any next-round segment may launch. Skipped when both files
-        // already exist (crash-resume past a completed barrier).
+        // any next-round segment may launch. A resumed fleet past a
+        // completed barrier reads them back instead.
         if round + 1 < rounds {
             let elites_path = paths.elites_round(round);
             let cache_path = paths.cache_round(round);
-            if !(elites_path.exists() && cache_path.exists()) {
-                let checkpoints: Vec<SearchCheckpoint> = (0..islands)
-                    .map(|i| {
-                        SearchCheckpoint::load(paths.shard_checkpoint(i), &island_fp[i])
-                            .map_err(|e| shard_error(i, e))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let elites = select_elites(&checkpoints, sharded.elites);
+            if on_disk(&elites_path) && on_disk(&cache_path) {
+                elites = load_round_file(&elites_path, &fleet_fp)?;
+                round_input = load_round_file(&cache_path, &fleet_fp)?;
+            } else {
+                let states: Vec<_> = states
+                    .iter()
+                    .map(|s| s.lock().expect("island state poisoned"))
+                    .collect();
+                elites = select_elites(states.iter().map(|s| s.history()), sharded.elites);
                 tracer.count("sharded.elite_exchange", elites.len() as u64);
-                EvalCacheFile {
-                    version: CHECKPOINT_VERSION,
-                    fingerprint: fleet_fp.clone(),
-                    records: elites,
-                }
-                .save(&elites_path)?;
-                let mut union: BTreeMap<Vec<usize>, EpisodeRecord> = BTreeMap::new();
-                for ckpt in &checkpoints {
-                    for record in &ckpt.cache {
-                        union
-                            .entry(record.actions.clone())
-                            .or_insert_with(|| record.clone());
-                    }
-                }
-                EvalCacheFile {
-                    version: CHECKPOINT_VERSION,
-                    fingerprint: fleet_fp.clone(),
-                    records: union.into_values().collect(),
-                }
-                .save(&cache_path)?;
+                save_round_file(&elites_path, &fleet_fp, &elites)?;
+                round_input = cache_union(states.iter().map(|s| &**s));
+                save_round_file(&cache_path, &fleet_fp, &round_input)?;
             }
         }
     }
 
-    // ---- Reduce: merge final checkpoints in island-index order. ----
-    let mut shard_histories: Vec<(usize, Vec<EpisodeRecord>)> = Vec::with_capacity(islands);
-    let mut final_cache: BTreeMap<Vec<usize>, EpisodeRecord> = BTreeMap::new();
-    for i in 0..islands {
-        let ckpt = SearchCheckpoint::load(paths.shard_checkpoint(i), &island_fp[i])
-            .map_err(|e| shard_error(i, e))?;
-        if ckpt.episode != island_episodes {
-            return Err(MuffinError::StaleArtifact(format!(
-                "shard {i}: checkpoint stopped at episode {} of {island_episodes}",
-                ckpt.episode
-            )));
-        }
-        for record in &ckpt.cache {
-            final_cache
-                .entry(record.actions.clone())
-                .or_insert_with(|| record.clone());
-        }
-        shard_histories.push((i, ckpt.history));
-    }
+    // ---- Reduce: merge the island histories in island-index order. ----
+    let states: Vec<SearchState<'_>> = states
+        .into_iter()
+        .map(|s| s.into_inner().expect("island state poisoned"))
+        .collect();
     if let Some(warm) = warm_cache {
         EvalCacheFile {
             version: CHECKPOINT_VERSION,
             fingerprint: fleet_fp.clone(),
-            records: final_cache.into_values().collect(),
+            records: cache_union(states.iter()),
         }
         .save_merged(warm)?;
     }
     run_span.finish();
+    let shard_histories = states
+        .into_iter()
+        .map(|state| state.into_outcome().history)
+        .enumerate()
+        .collect();
     merge_shard_histories(shard_histories, config.target_attributes.clone())
+}
+
+/// Reads a round snapshot (screen cache, round cache or elites) a
+/// previous run of this fleet wrote.
+fn load_round_file(
+    path: &Path,
+    fleet_fp: &SearchFingerprint,
+) -> Result<Vec<EpisodeRecord>, MuffinError> {
+    Ok(EvalCacheFile::load_shared(path, fleet_fp)?
+        .map(|f| f.records)
+        .unwrap_or_default())
+}
+
+fn save_round_file(
+    path: &Path,
+    fleet_fp: &SearchFingerprint,
+    records: &[EpisodeRecord],
+) -> Result<(), MuffinError> {
+    EvalCacheFile {
+        version: CHECKPOINT_VERSION,
+        fingerprint: fleet_fp.clone(),
+        records: records.to_vec(),
+    }
+    .save(path)
+}
+
+/// The union of the islands' evaluation caches, sorted by action vector;
+/// on a shared action vector the lowest island index wins.
+fn cache_union<'a, 's: 'a>(
+    states: impl Iterator<Item = &'a SearchState<'s>>,
+) -> Vec<EpisodeRecord> {
+    let mut union: BTreeMap<Vec<usize>, EpisodeRecord> = BTreeMap::new();
+    for state in states {
+        for record in state.cache_records() {
+            union.entry(record.actions.clone()).or_insert(record);
+        }
+    }
+    union.into_values().collect()
 }
 
 /// One island's successive-halving screen: cheap low-epoch rungs promote
@@ -642,82 +654,39 @@ fn run_screen(
     Ok(promoted_records)
 }
 
-/// Runs one island's segment of one round: apply the pending elite
-/// exchange (at most once, guarded by `exchanges_applied`), then resume
-/// the island's persistent loop until the round's halt boundary.
-#[allow(clippy::too_many_arguments)]
-fn run_island_segment(
-    search: &MuffinSearch,
+/// Steps one island through one round's segment in memory: apply the
+/// pending elite exchange (at most once, guarded by `exchanges_applied`),
+/// seed the island's cache with the round's input snapshot, then run
+/// REINFORCE batches up to the first boundary at or past `end`,
+/// checkpointing after each. An island already at `end` (fleet resume)
+/// is left untouched.
+fn step_island(
+    state: &mut SearchState<'_>,
     checkpoint: &Path,
     fingerprint: &SearchFingerprint,
-    search_seed: u64,
-    input_cache: &Path,
-    elites: &[EpisodeRecord],
+    workers: &WorkerPool,
+    (round_input, elites): (&[EpisodeRecord], &[EpisodeRecord]),
     round: u32,
     end: u32,
-    island_episodes: u32,
-    sharded: &ShardedConfig,
 ) -> Result<(), MuffinError> {
-    let mut resume = false;
-    if checkpoint.exists() {
-        let mut ckpt = SearchCheckpoint::load(checkpoint, fingerprint)?;
-        if round > 0 && ckpt.episode < end && ckpt.exchanges_applied < round {
-            apply_elite_exchange(search, &mut ckpt, elites, round)?;
-            ckpt.save(checkpoint)?;
-        }
-        if ckpt.episode >= end {
-            // This round's segment already completed (fleet resume).
-            return Ok(());
-        }
-        resume = true;
+    if state.episode() >= end {
+        return Ok(());
     }
-    let opts = PersistenceOptions {
-        checkpoint: Some(checkpoint.to_path_buf()),
-        checkpoint_every: 0,
-        resume,
-        eval_cache: Some(input_cache.to_path_buf()),
-        eval_cache_shared: true,
-        eval_cache_read_only: true,
-        halt_after: (end < island_episodes).then_some(end),
-    };
-    let mut rng = Rng64::seed(search_seed);
-    match search.run_persistent(&mut rng, &WorkerPool::new(sharded.island_workers), &opts) {
-        // Non-final rounds halt at the boundary by design; the final
-        // round returns the island outcome, which the reduce step
-        // reconstructs from the checkpoint instead.
-        Ok(_) => Ok(()),
-        Err(MuffinError::Halted { .. }) => Ok(()),
-        Err(e) => Err(e),
+    if state.exchanges_applied() < round {
+        // Saved before the segment starts, so a crash can never apply
+        // the same exchange twice.
+        state.apply_elites(elites, round)?;
+        state.checkpoint(fingerprint).save(checkpoint)?;
     }
-}
-
-/// Nudges an island's checkpointed policy toward the fleet's elites: a
-/// throwaway controller imports the checkpoint state, replays each elite
-/// teacher-forced, applies one batched REINFORCE update at the elites'
-/// observed rewards, and exports the state back. `exchanges_applied` is
-/// bumped in the same checkpoint write, so a crash after the save can
-/// never replay the exchange.
-fn apply_elite_exchange(
-    search: &MuffinSearch,
-    ckpt: &mut SearchCheckpoint,
-    elites: &[EpisodeRecord],
-    round: u32,
-) -> Result<(), MuffinError> {
-    if !elites.is_empty() {
-        let mut controller = RnnController::new(
-            search.space(),
-            search.config().controller,
-            &mut Rng64::seed(0),
-        );
-        controller.import_state(ckpt.controller.clone())?;
-        let batch: Vec<(SampledEpisode, f32)> = elites
-            .iter()
-            .map(|e| controller.replay(&e.actions).map(|ep| (ep, e.reward)))
-            .collect::<Result<_, _>>()?;
-        controller.update_batch(&batch);
-        ckpt.controller = controller.export_state();
+    state.seed_cache(round_input);
+    let search = state.search();
+    let run_span = search.run_span();
+    while state.episode() < end {
+        state.step_batch(workers)?;
+        state.checkpoint(fingerprint).save(checkpoint)?;
+        search.tracer().count("search.checkpoint_write", 1);
     }
-    ckpt.exchanges_applied = round;
+    run_span.finish();
     Ok(())
 }
 
@@ -725,11 +694,14 @@ fn apply_elite_exchange(
 /// (first writer wins per action vector, islands in index order), ranked
 /// by reward descending under `total_cmp` with action-vector ascending as
 /// the tie break, truncated to `count`.
-fn select_elites(checkpoints: &[SearchCheckpoint], count: usize) -> Vec<EpisodeRecord> {
+fn select_elites<'a>(
+    histories: impl IntoIterator<Item = &'a [EpisodeRecord]>,
+    count: usize,
+) -> Vec<EpisodeRecord> {
     let mut seen: HashSet<Vec<usize>> = HashSet::new();
     let mut pool: Vec<EpisodeRecord> = Vec::new();
-    for ckpt in checkpoints {
-        for record in &ckpt.history {
+    for history in histories {
+        for record in history {
             if record.reward.is_finite() && seen.insert(record.actions.clone()) {
                 pool.push(record.clone());
             }
@@ -816,49 +788,19 @@ mod tests {
 
     #[test]
     fn elite_selection_is_total_ordered_and_distinct() {
-        let fp = {
-            let config = crate::SearchConfig::fast(&["age"]);
-            let space = crate::SearchSpace::paper_default(3);
-            SearchFingerprint::new(
-                [0, 1, 2, 3],
-                &config,
-                &space,
-                "pool",
-                muffin_models::PoolManifest::default(),
-                "data",
-            )
-        };
-        let mut throwaway = RnnController::new(
-            crate::SearchSpace::paper_default(3),
-            crate::ControllerConfig::default(),
-            &mut Rng64::seed(1),
-        );
-        let controller_state = throwaway.export_state();
-        let ckpt = |history: Vec<EpisodeRecord>| SearchCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: fp.clone(),
-            target_episodes: 4,
-            episode: history.len() as u32,
-            rng_state: [1, 2, 3, 4],
-            seed_stream_seed: 5,
-            controller: controller_state.clone(),
-            history,
-            cache: vec![],
-            exchanges_applied: 0,
-        };
         let mut nan = record(0, 2, f32::NAN);
         nan.actions = vec![9, 9];
-        let a = ckpt(vec![record(0, 0, 1.0), record(0, 1, 5.0), nan]);
+        let a = vec![record(0, 0, 1.0), record(0, 1, 5.0), nan];
         // Island 1 re-evaluated island 0's [0, 0] candidate: distinctness
         // keeps the island-0 copy.
         let mut dup = record(0, 0, 1.0);
         dup.episode = 3;
-        let b = ckpt(vec![dup, record(1, 1, 3.0)]);
-        let elites = select_elites(&[a, b], 2);
+        let b = vec![dup, record(1, 1, 3.0)];
+        let elites = select_elites([a.as_slice(), b.as_slice()], 2);
         assert_eq!(elites.len(), 2);
         assert_eq!(elites[0].reward, 5.0);
         assert_eq!(elites[1].reward, 3.0);
-        let top = select_elites(&[], 2);
+        let top = select_elites([], 2);
         assert!(top.is_empty());
     }
 

@@ -1,60 +1,87 @@
-//! The body-output cache is a pure optimisation: a search run with the
-//! cache enabled (the default) must produce a [`SearchOutcome`] that is
-//! **byte-identical** to a run with it disabled, at every worker count,
-//! while recording deterministic hit/miss counters.
+//! The body-output cache is a pure optimisation: every record a search
+//! run produces with the cache must be reproduced **bit for bit** by the
+//! uncached path — [`MuffinSearch::rebuild`] retrains the head through
+//! `evaluate_candidate`, which runs every body forward pass directly — at
+//! every worker count, while the run records deterministic hit/miss
+//! counters.
 
 use muffin::{MuffinSearch, SearchConfig, SearchOutcome, Tracer, WorkerPool};
 use muffin_integration_tests::small_fixture;
 
-fn search_with_cache(enabled: bool) -> (MuffinSearch, muffin_tensor::Rng64) {
+fn search() -> (MuffinSearch, muffin_tensor::Rng64) {
     let (split, pool, rng) = small_fixture(4242);
     let config = SearchConfig::fast(&["age", "site"])
         .with_episodes(8)
         .with_reinforce_batch(3);
-    let search = MuffinSearch::new(pool, split, config)
-        .expect("valid search")
-        .with_body_cache(enabled);
+    let search = MuffinSearch::new(pool, split, config).expect("valid search");
     (search, rng)
 }
 
-fn outcome_json(enabled: bool, workers: &WorkerPool) -> String {
-    let (search, rng) = search_with_cache(enabled);
-    let outcome: SearchOutcome = search
+fn cached_outcome(workers: &WorkerPool) -> (MuffinSearch, SearchOutcome) {
+    let (search, rng) = search();
+    let outcome = search
         .run_with_pool(&mut rng.clone(), workers)
         .expect("search runs");
-    muffin_json::to_string(&outcome)
+    (search, outcome)
+}
+
+/// Rebuilds every distinct record of `outcome` without the cache and
+/// checks its validation accuracy and per-attribute unfairness bit for
+/// bit.
+fn assert_records_match_uncached_rebuilds(search: &MuffinSearch, outcome: &SearchOutcome) {
+    let val = &search.split().val;
+    for record in outcome.distinct() {
+        let fusing = search.rebuild(record).expect("rebuild");
+        let eval = fusing.evaluate(search.pool(), val);
+        assert_eq!(
+            eval.accuracy.to_bits(),
+            record.accuracy.to_bits(),
+            "accuracy of {:?} differs from its uncached rebuild",
+            record.actions
+        );
+        for (name, unfairness) in outcome.target_attributes.iter().zip(&record.unfairness) {
+            let rebuilt = eval.attribute(name).expect("target attribute evaluated");
+            assert_eq!(
+                rebuilt.unfairness.to_bits(),
+                unfairness.to_bits(),
+                "{name} unfairness of {:?} differs from its uncached rebuild",
+                record.actions
+            );
+        }
+    }
 }
 
 #[test]
 fn cached_outcome_is_byte_identical_to_uncached_serial() {
-    let serial = WorkerPool::serial();
-    assert_eq!(outcome_json(true, &serial), outcome_json(false, &serial));
+    let (search, outcome) = cached_outcome(&WorkerPool::serial());
+    assert_records_match_uncached_rebuilds(&search, &outcome);
 }
 
 #[test]
 fn cached_outcome_is_byte_identical_to_uncached_with_4_workers() {
-    let four = WorkerPool::new(4);
-    assert_eq!(outcome_json(true, &four), outcome_json(false, &four));
+    let (search, outcome) = cached_outcome(&WorkerPool::new(4));
+    assert_records_match_uncached_rebuilds(&search, &outcome);
     // And the parallel cached run matches the serial cached run.
+    let (_, serial) = cached_outcome(&WorkerPool::serial());
     assert_eq!(
-        outcome_json(true, &four),
-        outcome_json(true, &WorkerPool::serial())
+        muffin_json::to_string(&outcome),
+        muffin_json::to_string(&serial)
     );
 }
 
 #[test]
 fn body_cache_counters_appear_in_stripped_traces_and_are_deterministic() {
     let run_traced = |workers: &WorkerPool| {
-        let (search, rng) = search_with_cache(true);
+        let (search, rng) = search();
         let tracer = Tracer::capturing();
         let search = search.with_tracer(tracer.clone());
-        let outcome = search
+        search
             .run_with_pool(&mut rng.clone(), workers)
             .expect("traced run");
-        (outcome, tracer.finish())
+        tracer.finish()
     };
-    let (outcome, serial_log) = run_traced(&WorkerPool::serial());
-    let (_, parallel_log) = run_traced(&WorkerPool::new(4));
+    let serial_log = run_traced(&WorkerPool::serial());
+    let parallel_log = run_traced(&WorkerPool::new(4));
 
     // The counters exist and carry the expected totals: one miss per
     // (model × split) forward actually run, everything else hits.
@@ -94,23 +121,5 @@ fn body_cache_counters_appear_in_stripped_traces_and_are_deterministic() {
     assert_eq!(
         muffin_json::to_string(&serial_log.stripped()),
         muffin_json::to_string(&parallel_log.stripped()),
-    );
-
-    // Disabling the cache removes the counters entirely (pre-cache trace
-    // shape) without changing the outcome.
-    let (search, rng) = search_with_cache(false);
-    let tracer = Tracer::capturing();
-    let search = search.with_tracer(tracer.clone());
-    let uncached = search
-        .run_with_pool(&mut rng.clone(), &WorkerPool::serial())
-        .expect("uncached traced run");
-    let uncached_log = tracer.finish();
-    assert!(uncached_log
-        .events
-        .iter()
-        .all(|e| !e.name.starts_with("fusing.body_cache")));
-    assert_eq!(
-        muffin_json::to_string(&outcome),
-        muffin_json::to_string(&uncached)
     );
 }

@@ -9,10 +9,10 @@
 //! both with `scripts/regen-golden.sh` and commit the diff alongside the
 //! change that caused it.
 
-use muffin::{Tracer, WorkerPool};
+use muffin::{MuffinError, PersistenceOptions, Tracer, WorkerPool};
 use muffin_integration_tests::{
     fleet_outcome_json, golden_fleet_path, golden_outcome_json, golden_outcome_json_resumed,
-    golden_snapshot_path,
+    golden_search, golden_snapshot_path,
 };
 
 fn committed_snapshot() -> String {
@@ -95,6 +95,63 @@ fn blocked_kernels_reproduce_the_snapshot_at_every_worker_count() {
     }
 }
 
+// Where the loop leaves the caller's RNG is part of the stream contract
+// too: a caller that keeps drawing from it after a search (a second
+// search, a test split) must see the same stream on every version. The
+// states below are pinned from the golden recipe: after a full run (and
+// after a halt at episode 3 plus resume, which must end identically) and
+// after the halt alone.
+
+const GOLDEN_RNG_AFTER_RUN: [u64; 4] = [
+    2294371298836489241,
+    2485977900303081321,
+    16879790751587670198,
+    12345239336069448090,
+];
+const GOLDEN_RNG_AFTER_HALT_AT_3: [u64; 4] = [
+    15183872584572405872,
+    6989030955300131231,
+    17709492523882555985,
+    18022016963218974015,
+];
+
+#[test]
+fn golden_recipe_leaves_the_caller_rng_in_its_pinned_state() {
+    let (search, rng) = golden_search();
+    let mut full = rng.clone();
+    search
+        .run_with_pool(&mut full, &WorkerPool::new(2))
+        .expect("golden search runs");
+    assert_eq!(full.state(), GOLDEN_RNG_AFTER_RUN, "after a full run");
+
+    let ckpt = std::env::temp_dir().join(format!(
+        "muffin_golden_rng_{}.ckpt.json",
+        std::process::id()
+    ));
+    std::fs::remove_file(&ckpt).ok();
+    let mut halted = rng.clone();
+    let err = search
+        .run_persistent(
+            &mut halted,
+            &WorkerPool::serial(),
+            &PersistenceOptions::checkpoint_to(&ckpt).with_halt_after(3),
+        )
+        .expect_err("halted run must not complete");
+    assert!(matches!(err, MuffinError::Halted { episode: 3 }), "{err}");
+    assert_eq!(halted.state(), GOLDEN_RNG_AFTER_HALT_AT_3, "after the halt");
+
+    let mut resumed = rng.clone();
+    search
+        .run_persistent(
+            &mut resumed,
+            &WorkerPool::serial(),
+            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
+        )
+        .expect("resumed golden search runs");
+    std::fs::remove_file(&ckpt).ok();
+    assert_eq!(resumed.state(), GOLDEN_RNG_AFTER_RUN, "after halt + resume");
+}
+
 /// Regeneration path, invoked by `scripts/regen-golden.sh`:
 /// `cargo test ... -- --ignored regenerate_golden_snapshot`.
 #[test]
@@ -106,7 +163,10 @@ fn regenerate_golden_snapshot() {
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         println!("wrote {} ({} bytes)", path.display(), json.len());
     };
-    write(golden_snapshot_path(), golden_outcome_json(&WorkerPool::serial()));
+    write(
+        golden_snapshot_path(),
+        golden_outcome_json(&WorkerPool::serial()),
+    );
 
     let dir = std::env::temp_dir().join(format!("muffin_golden_fleet_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

@@ -13,7 +13,9 @@ fn outcome_json(workers: usize) -> String {
         .with_episodes(10)
         .with_reinforce_batch(5);
     let search = MuffinSearch::new(pool, split, config).expect("setup");
-    let outcome = search.run_parallel(&mut rng, workers).expect("run");
+    let outcome = search
+        .run_with_pool(&mut rng, &WorkerPool::new(workers))
+        .expect("run");
     muffin_json::to_string(&outcome)
 }
 
