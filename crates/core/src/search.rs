@@ -764,7 +764,8 @@ impl MuffinSearch {
                 // pool that has since grown by appended models.
                 let (ckpt, relation) = SearchCheckpoint::load_for_resume(path, fp)?;
                 let grew = matches!(relation, PoolRelation::Grew { .. });
-                (SearchState::from_checkpoint(self, rng, path, ckpt, &relation)?, grew)
+                let state = SearchState::from_checkpoint(self, rng, path, ckpt, &relation)?;
+                (state, grew)
             }
             _ => (SearchState::fresh(self, rng), false),
         };

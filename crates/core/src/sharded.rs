@@ -1,15 +1,16 @@
 //! Sharded multi-island REINFORCE search over a shared eval cache.
 //!
 //! [`run_sharded`] runs a *fleet* of search islands — independent
-//! [`MuffinSearch::run_persistent`] loops with distinct controller seeds
-//! derived from one root seed — that cooperate through two channels:
+//! REINFORCE loops with distinct controller seeds derived from one root
+//! seed, each an in-memory [`SearchState`] stepped for the whole fleet —
+//! that cooperate through two channels:
 //!
-//! * a **shared on-disk eval cache**, so no candidate fusing structure is
+//! * a **shared eval cache**, so no candidate fusing structure is
 //!   trained twice across the fleet, and
 //! * periodic **elite exchange**: at REINFORCE-batch-aligned round
 //!   barriers, the fleet's best candidates nudge every island's policy
-//!   via a teacher-forced [`RnnController::replay`] +
-//!   [`RnnController::update_batch`] step.
+//!   via a teacher-forced [`crate::RnnController::replay`] +
+//!   [`crate::RnnController::update_batch`] step.
 //!
 //! # Determinism model
 //!
@@ -20,23 +21,26 @@
 //!   yields, in island order, a controller entry seed and a screen seed
 //!   per island. Island `i`'s trajectory is a function of its seeds and
 //!   the barrier inputs alone.
-//! * **Immutable round snapshots.** Islands read a frozen per-round cache
-//!   file (`cache-screen.json`, then `cache-round-{r}.json`) and never
-//!   write it (`eval_cache_read_only`); only the supervisor writes cache
-//!   files, single-threaded, at barriers. Concurrent islands therefore
-//!   cannot observe each other mid-round, so `--shards`/worker counts are
-//!   pure concurrency knobs.
+//! * **Immutable round snapshots.** Each island seeds its cache from the
+//!   round's input snapshot (the screen union, then the union of all
+//!   island caches at the previous barrier) and otherwise sees only its
+//!   own state; only the supervisor forms snapshots, single-threaded, at
+//!   barriers. Concurrent islands therefore cannot observe each other
+//!   mid-round, so `--shards`/worker counts are pure concurrency knobs.
 //! * **Deterministic reduce.** Barrier unions and elite selection iterate
 //!   islands in index order with total-order comparators, and the final
 //!   merge sorts shard histories by island index before concatenating —
 //!   completion order is irrelevant.
-//! * **Crash idempotence.** Per-island checkpoints resume bit-identically
-//!   (the PR 4 contract); [`SearchCheckpoint::exchanges_applied`] is
-//!   bumped *before* the post-exchange segment launches so an exchange is
-//!   never applied twice; barrier files are only recomputed when missing,
-//!   from end-of-round checkpoints that no island has advanced past.
+//! * **Crash idempotence.** Every island checkpoints to the shard
+//!   directory after each batch, and every snapshot is written there as
+//!   it is formed; a fresh fleet never reads these files back. On resume,
+//!   per-island checkpoints restore bit-identically, like any search
+//!   checkpoint; [`SearchCheckpoint::exchanges_applied`] is saved right
+//!   after an exchange, before the segment's first batch, so an exchange
+//!   is never applied twice; barrier files are only recomputed when
+//!   missing, from island states that have all just finished that round.
 //!
-//! The shared cache's fingerprint carries the canonical root-seed RNG
+//! The shared snapshots' fingerprint carries the canonical root-seed RNG
 //! state and is matched ignoring the RNG component
 //! ([`SearchFingerprint::mismatch_ignoring_rng`]): evaluations depend
 //! only on (config, space, pool, data), so any island may consume any
@@ -384,21 +388,27 @@ pub fn run_sharded(
         );
     }
 
-    let fingerprint = |rng_state: [u64; 4]| {
-        SearchFingerprint::new(
-            rng_state,
-            &island_config,
-            &space,
-            &pool_json,
-            pool.manifest(),
-            &split_json,
-        )
-    };
     let island_fp: Vec<SearchFingerprint> = island_seeds
         .iter()
-        .map(|&(search_seed, _)| fingerprint(Rng64::seed(search_seed).state()))
+        .map(|&(search_seed, _)| {
+            SearchFingerprint::new(
+                Rng64::seed(search_seed).state(),
+                &island_config,
+                &space,
+                &pool_json,
+                pool.manifest(),
+                &split_json,
+            )
+        })
         .collect();
-    let fleet_fp = fingerprint(Rng64::seed(seed).state());
+    let fleet_fp = SearchFingerprint::new(
+        Rng64::seed(seed).state(),
+        &island_config,
+        &space,
+        &pool_json,
+        pool.manifest(),
+        &split_json,
+    );
 
     let mut run_span = tracer.span("sharded.run");
     run_span.field("islands", islands);
@@ -407,6 +417,7 @@ pub fn run_sharded(
     run_span.field("screen_budget", sharded.screen_budget as usize);
 
     let outer = WorkerPool::new(sharded.shards.min(islands));
+    let island_workers = WorkerPool::new(sharded.island_workers);
     let indices: Vec<usize> = (0..islands).collect();
 
     // ---- Island states: one per island for the whole fleet. ----
@@ -455,19 +466,19 @@ pub fn run_sharded(
         if let Some(warm) = warm_cache {
             if let Some(file) = EvalCacheFile::load_shared(warm, &fleet_fp)? {
                 tracer.progress(|| format!("warm cache: {} record(s)", file.records.len()));
-                records.extend(
-                    file.records
-                        .into_iter()
-                        .filter(|r| seen.insert(r.actions.clone())),
-                );
+                for record in file.records {
+                    if seen.insert(record.actions.clone()) {
+                        records.push(record);
+                    }
+                }
             }
         }
         for island_records in screened {
-            records.extend(
-                island_records
-                    .into_iter()
-                    .filter(|r| seen.insert(r.actions.clone())),
-            );
+            for record in island_records {
+                if seen.insert(record.actions.clone()) {
+                    records.push(record);
+                }
+            }
         }
         records.sort_by(|a, b| a.actions.cmp(&b.actions));
         tracer.progress(|| format!("screen snapshot: {} record(s)", records.len()));
@@ -485,8 +496,9 @@ pub fn run_sharded(
                 &mut state,
                 &paths.shard_checkpoint(i),
                 &island_fp[i],
-                &WorkerPool::new(sharded.island_workers),
-                (&round_input, &elites),
+                &island_workers,
+                &round_input,
+                &elites,
                 round,
                 end,
             )
@@ -660,12 +672,14 @@ fn run_screen(
 /// REINFORCE batches up to the first boundary at or past `end`,
 /// checkpointing after each. An island already at `end` (fleet resume)
 /// is left untouched.
+#[allow(clippy::too_many_arguments)]
 fn step_island(
     state: &mut SearchState<'_>,
     checkpoint: &Path,
     fingerprint: &SearchFingerprint,
     workers: &WorkerPool,
-    (round_input, elites): (&[EpisodeRecord], &[EpisodeRecord]),
+    round_input: &[EpisodeRecord],
+    elites: &[EpisodeRecord],
     round: u32,
     end: u32,
 ) -> Result<(), MuffinError> {
