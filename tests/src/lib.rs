@@ -107,18 +107,18 @@ pub fn golden_outcome_json_resumed(workers: &WorkerPool, halt_after: u32, tag: &
 /// Root seed of the golden fleet recipe. Like [`GOLDEN_SEED`], everything
 /// about the recipe is frozen: changing any part of it invalidates the
 /// committed fleet snapshot.
-pub const FLEET_SEED: u64 = 4242;
+const FLEET_SEED: u64 = 4242;
 
 /// A 9-point search space over the 3-model fixture pool: small enough
 /// that the halving screen plus a few episodes cover most of it, so
 /// later islands hit the shared disk cache instead of re-training heads.
-pub fn fleet_space() -> SearchSpace {
+fn fleet_space() -> SearchSpace {
     SearchSpace::new(3, 2, vec![2], vec![8], vec![Activation::Relu]).expect("valid space")
 }
 
 /// The golden fleet's search configuration: 24 episodes over four
 /// islands with a REINFORCE batch of 2.
-pub fn fleet_config() -> SearchConfig {
+fn fleet_config() -> SearchConfig {
     SearchConfig::fast(&["age", "site"])
         .with_episodes(24)
         .with_reinforce_batch(2)
@@ -128,7 +128,7 @@ pub fn fleet_config() -> SearchConfig {
 /// The golden fleet's identity knobs (four islands, elite exchange every
 /// 4 episodes, a 6-candidate two-rung screen) with the given pure
 /// concurrency knobs.
-pub fn fleet_sharded(shards: usize, island_workers: usize) -> ShardedConfig {
+fn fleet_sharded(shards: usize, island_workers: usize) -> ShardedConfig {
     ShardedConfig {
         islands: 4,
         exchange_every: 4,
