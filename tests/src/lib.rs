@@ -3,7 +3,7 @@
 //! directory.
 
 use muffin::{
-    run_sharded, MuffinError, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome,
+    random_search, run_sharded, MuffinError, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome,
     SearchSpace, ShardedConfig, Tracer, WorkerPool,
 };
 use muffin_data::{DatasetSplit, IsicLike};
@@ -62,6 +62,39 @@ pub fn golden_snapshot_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("golden")
         .join("search_outcome.json")
+}
+
+/// The stripped trace logs of the golden recipe, as committed at
+/// `tests/golden/search_trace.json`: one object holding the serial
+/// REINFORCE run's log under `"search"` and the log of [`random_search`]
+/// on the same recipe under `"random_search"`. The second covers the
+/// uncached candidate path (train a head, then evaluate it).
+pub fn golden_trace_json() -> String {
+    let (search, rng) = golden_search();
+    let search = search.with_tracer(Tracer::capturing());
+    search
+        .run_with_pool(&mut rng.clone(), &WorkerPool::serial())
+        .expect("golden search runs");
+    let reinforce = search.tracer().finish().stripped();
+
+    let (search, rng) = golden_search();
+    let search = search.with_tracer(Tracer::capturing());
+    random_search(&search, &mut rng.clone()).expect("golden random search runs");
+    let random = search.tracer().finish().stripped();
+
+    format!(
+        "{{\"search\":{},\"random_search\":{}}}",
+        reinforce.to_json_string(),
+        random.to_json_string()
+    )
+}
+
+/// Path of the committed golden trace snapshot
+/// (`tests/golden/search_trace.json` from the repository root).
+pub fn golden_trace_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join("search_trace.json")
 }
 
 /// Runs the golden recipe **interrupted**: the first run halts (with a

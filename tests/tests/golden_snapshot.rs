@@ -3,7 +3,9 @@
 //! re-running the recipe — serially or on a four-worker pool — must
 //! reproduce it byte for byte. The sharded fleet recipe's merged outcome
 //! is committed next to it at `tests/golden/fleet_outcome.json` and
-//! checked by the sharded-equivalence suite.
+//! checked by the sharded-equivalence suite, and the recipe's stripped
+//! trace at `tests/golden/search_trace.json` by the trace-determinism
+//! suite.
 //!
 //! If an intentional behaviour change invalidates a snapshot, regenerate
 //! both with `scripts/regen-golden.sh` and commit the diff alongside the
@@ -12,7 +14,7 @@
 use muffin::{MuffinError, PersistenceOptions, Tracer, WorkerPool};
 use muffin_integration_tests::{
     fleet_outcome_json, golden_fleet_path, golden_outcome_json, golden_outcome_json_resumed,
-    golden_search, golden_snapshot_path,
+    golden_search, golden_snapshot_path, golden_trace_json, golden_trace_path,
 };
 
 fn committed_snapshot() -> String {
@@ -167,6 +169,7 @@ fn regenerate_golden_snapshot() {
         golden_snapshot_path(),
         golden_outcome_json(&WorkerPool::serial()),
     );
+    write(golden_trace_path(), golden_trace_json());
 
     let dir = std::env::temp_dir().join(format!("muffin_golden_fleet_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

@@ -1,10 +1,12 @@
 //! The observability determinism contract at integration scope: attaching a
 //! capturing tracer never changes search results, and the event log — once
 //! wall-clock timings are stripped — is byte-identical across repeated runs
-//! and across worker counts.
+//! and across worker counts. The stripped logs of the golden recipe are
+//! committed at `tests/golden/search_trace.json`, so a refactor of the
+//! code that emits them cannot add, drop or reorder an event unnoticed.
 
 use muffin::{Tracer, WorkerPool};
-use muffin_integration_tests::golden_search;
+use muffin_integration_tests::{golden_search, golden_trace_json, golden_trace_path};
 use muffin_trace::TraceLog;
 
 /// Runs the golden recipe with `tracer` on `workers`, returning the outcome
@@ -60,4 +62,26 @@ fn stripped_logs_are_byte_identical_across_worker_counts() {
             "stripped trace log diverged at {workers} workers"
         );
     }
+}
+
+#[test]
+fn stripped_logs_reproduce_the_committed_trace_snapshot() {
+    let path = golden_trace_path();
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read committed trace snapshot {}: {e}\n\
+             generate it with scripts/regen-golden.sh",
+            path.display()
+        )
+    });
+    let actual = golden_trace_json();
+    assert!(
+        actual == expected,
+        "stripped golden trace diverged from tests/golden/search_trace.json \
+         ({} vs {} bytes).\n\
+         If this change is intentional, refresh the snapshot with \
+         scripts/regen-golden.sh and commit the updated file.",
+        actual.len(),
+        expected.len()
+    );
 }
