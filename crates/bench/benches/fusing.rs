@@ -2,7 +2,7 @@
 //! ablation called out in `DESIGN.md`: gated prediction vs head-always
 //! prediction, and Algorithm-1-weighted vs uniform head training.
 
-use muffin::{FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset, WorkerPool};
+use muffin::{FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset, Tracer};
 use muffin_bench::timing::{black_box, Harness};
 use muffin_data::{DatasetSplit, IsicLike};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -39,7 +39,14 @@ fn bench_head_training(h: &mut Harness) {
                 &mut rng,
             )
             .expect("valid");
-            fusing.train_head(&pool, &split.train, data, &HeadTrainConfig::fast(), &mut rng);
+            fusing.train_head(
+                &pool,
+                &split.train,
+                data,
+                &HeadTrainConfig::fast(),
+                &mut rng,
+                &Tracer::noop(),
+            );
             black_box(fusing);
         });
     }
@@ -55,17 +62,18 @@ fn bench_prediction_gating_ablation(h: &mut Harness) {
         &mut rng,
     )
     .expect("valid");
-    fusing.train_head(&pool, &split.train, &proxy, &HeadTrainConfig::fast(), &mut rng);
+    fusing.train_head(
+        &pool,
+        &split.train,
+        &proxy,
+        &HeadTrainConfig::fast(),
+        &mut rng,
+        &Tracer::noop(),
+    );
 
     h.sample_size(10);
     h.bench("fused_prediction/consensus_gated", || {
         black_box(fusing.predict(&pool, split.test.features()))
-    });
-    // Row-chunked batch inference on the shared worker pool; serial vs
-    // 4 workers is tracked in the suite JSON alongside the gated paths.
-    let workers = WorkerPool::new(4);
-    h.bench("fused_prediction/consensus_gated_parallel_4w", || {
-        black_box(fusing.predict_with(&pool, split.test.features(), &workers))
     });
     fusing.set_consensus_gating(false);
     h.bench("fused_prediction/head_always", || {
@@ -75,10 +83,9 @@ fn bench_prediction_gating_ablation(h: &mut Harness) {
     // The search hot path: body outputs computed once up front, every
     // candidate prediction served from the cache.
     let cache = muffin::BodyOutputCache::new(&pool, split.test.features().clone());
-    black_box(fusing.predict_cached(&cache)); // warm the slots
-    h.bench("fused_prediction/body_cached", || {
-        black_box(fusing.predict_cached(&cache))
-    });
+    let predict = || fusing.try_predict_cached(&cache).expect("valid body");
+    black_box(predict()); // warm the slots
+    h.bench("fused_prediction/body_cached", || black_box(predict()));
 }
 
 fn bench_proxy_build(h: &mut Harness) {

@@ -5,7 +5,8 @@
 //! `search/reinforce_batch8/parallel_4w` in the suite JSON.
 
 use muffin::{
-    multi_fairness_reward, MuffinSearch, RewardConfig, RnnController, SearchConfig, WorkerPool,
+    multi_fairness_reward, MuffinSearch, RewardConfig, RnnController, SearchConfig, Tracer,
+    WorkerPool,
 };
 use muffin_bench::timing::{black_box, Harness};
 use muffin_data::IsicLike;
@@ -42,7 +43,7 @@ fn bench_full_episode(h: &mut Harness) {
         let sampled = controller.sample(&mut rng);
         let candidate = space.decode(&sampled.actions).expect("in range");
         let (_, eval) = search
-            .evaluate_candidate(&candidate, &search.split().val, 1234)
+            .evaluate_candidate(&candidate, &search.split().val, 1234, &Tracer::noop())
             .expect("candidate evaluates");
         black_box(multi_fairness_reward(&eval, &["age", "site"], RewardConfig::default()));
     });

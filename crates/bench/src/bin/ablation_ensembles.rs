@@ -5,7 +5,7 @@
 //! accuracy because it is trained on the weighted unprivileged proxy.
 
 use muffin::{
-    FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset, TextTable,
+    FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset, TextTable, Tracer,
 };
 use muffin_bench::{isic_context, print_header};
 use muffin_models::{oracle_accuracy, Ensemble, EnsembleRule};
@@ -59,8 +59,15 @@ fn main() {
         &mut rng,
     )
     .expect("valid structure");
-    fusing.train_head(&ctx.pool, &ctx.split.train, &proxy, &HeadTrainConfig::default(), &mut rng);
-    let e = fusing.evaluate(&ctx.pool, &ctx.split.test);
+    fusing.train_head(
+        &ctx.pool,
+        &ctx.split.train,
+        &proxy,
+        &HeadTrainConfig::default(),
+        &mut rng,
+        &Tracer::noop(),
+    );
+    let e = fusing.evaluate(&ctx.pool, &ctx.split.test, &Tracer::noop());
     table.row_owned(vec![
         "muffin head (weighted proxy)".into(),
         format!("{:.2}%", e.accuracy * 100.0),

@@ -5,7 +5,7 @@
 //! protects overall accuracy.
 
 use muffin::{
-    FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset, TextTable,
+    FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset, TextTable, Tracer,
 };
 use muffin_bench::{isic_context, print_header};
 use muffin_nn::Activation;
@@ -37,7 +37,14 @@ fn main() {
             &mut rng,
         )
         .expect("valid structure");
-        fusing.train_head(&ctx.pool, &ctx.split.train, &proxy, &HeadTrainConfig::default(), &mut rng);
+        fusing.train_head(
+            &ctx.pool,
+            &ctx.split.train,
+            &proxy,
+            &HeadTrainConfig::default(),
+            &mut rng,
+            &Tracer::noop(),
+        );
 
         // Fraction of test samples where the body disagrees (head's share).
         let preds: Vec<Vec<usize>> = fusing
@@ -52,7 +59,7 @@ fn main() {
 
         for gated in [true, false] {
             fusing.set_consensus_gating(gated);
-            let e = fusing.evaluate(&ctx.pool, &ctx.split.test);
+            let e = fusing.evaluate(&ctx.pool, &ctx.split.test, &Tracer::noop());
             table.row_owned(vec![
                 label.to_string(),
                 if gated { "on".into() } else { "off".into() },

@@ -4,7 +4,7 @@
 //! trained on differs. Shows what the ratio form buys: pressure on *both*
 //! unfairness scores without a λ to tune.
 
-use muffin::{MuffinSearch, RewardKind, SearchConfig, TextTable};
+use muffin::{MuffinSearch, RewardKind, SearchConfig, TextTable, Tracer};
 use muffin_bench::{isic_context, print_header};
 use muffin_tensor::Rng64;
 
@@ -28,7 +28,7 @@ fn main() {
         let outcome = search.run(&mut Rng64::seed(900)).expect("search runs");
         // Evaluate the best candidate on the held-out test split.
         let fusing = search.rebuild(outcome.best()).expect("rebuild");
-        let e = fusing.evaluate(search.pool(), &ctx.split.test);
+        let e = fusing.evaluate(search.pool(), &ctx.split.test, &Tracer::noop());
         table.row_owned(vec![
             label.into(),
             format!("{:.2}%", e.accuracy * 100.0),

@@ -4,7 +4,7 @@
 //! measures how much of the fairness and accuracy benefit survives at a
 //! tiny fraction of the parameters.
 
-use muffin::{distill_student, DistillConfig, MuffinSearch, SearchConfig, TextTable};
+use muffin::{distill_student, DistillConfig, MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_bench::{isic_context, print_header};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let fusing = search.rebuild(best).expect("rebuild");
     println!("teacher: {} head {}\n", best.model_names.join(" + "), best.head_desc);
 
-    let teacher_eval = fusing.evaluate(search.pool(), &ctx.split.test);
+    let teacher_eval = fusing.evaluate(search.pool(), &ctx.split.test, &Tracer::noop());
     let mut table = TextTable::new(&["model", "params", "acc", "U_age", "U_site"]);
     table.row_owned(vec![
         "fused teacher".into(),

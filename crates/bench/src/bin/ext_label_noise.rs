@@ -5,7 +5,7 @@
 //! at the unprivileged age groups — and asks whether Muffin's simultaneous
 //! fairness improvement survives.
 
-use muffin::{MuffinSearch, SearchConfig, TextTable};
+use muffin::{MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_bench::{print_header, Scale};
 use muffin_data::{Dataset, IsicLike};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -50,7 +50,7 @@ fn run_condition(
     let search = MuffinSearch::new(pool, noisy_split, config).expect("search setup");
     let outcome = search.run(&mut rng).expect("search runs");
     let fusing = search.rebuild(outcome.best()).expect("rebuild");
-    let muffin_eval = fusing.evaluate(search.pool(), &split.test);
+    let muffin_eval = fusing.evaluate(search.pool(), &split.test, &Tracer::noop());
 
     table.row_owned(vec![
         label.to_string(),

@@ -5,7 +5,7 @@
 //! is nearly fair already, so its reward term is large and roughly
 //! constant, and the search should still improve age and site.
 
-use muffin::{MuffinSearch, SearchConfig, TextTable};
+use muffin::{MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_bench::{isic_context, print_header};
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
     ] {
         let Some(record) = record else { continue };
         let fusing = search.rebuild(record).expect("rebuild");
-        let e = fusing.evaluate(search.pool(), &ctx.split.test);
+        let e = fusing.evaluate(search.pool(), &ctx.split.test, &Tracer::noop());
         table.row_owned(vec![
             format!("{label} ({})", record.model_names.join("+")),
             format!("{:.2}%", e.accuracy * 100.0),

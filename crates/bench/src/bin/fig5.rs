@@ -2,7 +2,9 @@
 //! Pareto frontiers of (a) age unfairness vs site unfairness and (b)
 //! accuracy vs overall unfairness, relative to the existing networks.
 
-use muffin::{pareto_max_min_indices, pareto_min_indices, MuffinSearch, SearchConfig, TextTable};
+use muffin::{
+    pareto_max_min_indices, pareto_min_indices, MuffinSearch, SearchConfig, TextTable, Tracer,
+};
 use muffin_bench::{isic_context, plots_dir, print_header};
 use muffin_plot::{Marker, ScatterChart};
 
@@ -39,7 +41,7 @@ fn main() {
         .take(20)
         .map(|record| {
             let fusing = search.rebuild(record).expect("rebuild");
-            (record.clone(), fusing.evaluate(search.pool(), &ctx.split.test))
+            (record.clone(), fusing.evaluate(search.pool(), &ctx.split.test, &Tracer::noop()))
         })
         .collect();
 

@@ -3,7 +3,7 @@
 //! unfairness and of accuracy vs overall unfairness, showing the framework
 //! generalises beyond ISIC.
 
-use muffin::{pareto_min_indices, MuffinSearch, SearchConfig, TextTable};
+use muffin::{pareto_min_indices, MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_bench::{fitzpatrick_context, plots_dir, print_header};
 use muffin_plot::{Marker, ScatterChart};
 
@@ -36,7 +36,7 @@ fn main() {
         .take(16)
         .map(|r| {
             let fusing = search.rebuild(r).expect("rebuild");
-            (r.clone(), fusing.evaluate(search.pool(), &ctx.split.test))
+            (r.clone(), fusing.evaluate(search.pool(), &ctx.split.test, &Tracer::noop()))
         })
         .collect();
 

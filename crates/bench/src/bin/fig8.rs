@@ -3,7 +3,7 @@
 //! Muffin-Balance. Muffin gains on some tones, gives a little back on
 //! others, and ends up much fairer at unchanged overall accuracy.
 
-use muffin::{per_group_accuracy_table, MuffinSearch, SearchConfig, TextTable};
+use muffin::{per_group_accuracy_table, MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_bench::{fitzpatrick_context, plots_dir, print_header};
 use muffin_plot::BarChart;
 
@@ -45,7 +45,7 @@ fn main() {
     println!("{out}");
 
     let r18_eval = r18.evaluate(test);
-    let muffin_eval = fusing.evaluate(search.pool(), test);
+    let muffin_eval = fusing.evaluate(search.pool(), test, &Tracer::noop());
     println!(
         "overall: ResNet-18 acc {:.2}% U_tone {:.3} | Muffin-Balance acc {:.2}% U_tone {:.3}",
         r18_eval.accuracy * 100.0,

@@ -6,7 +6,7 @@
 
 use muffin::{
     Candidate, FusingStructure, HeadSpec, HeadTrainConfig, MuffinError, PrivilegeMap,
-    ProxyDataset, TextTable,
+    ProxyDataset, TextTable, Tracer,
 };
 use muffin_bench::{isic_context, print_header};
 use muffin_nn::Activation;
@@ -32,8 +32,15 @@ fn run_variant(
         &ctx.pool,
         &mut head_rng,
     )?;
-    fusing.train_head(&ctx.pool, &ctx.split.train, proxy, &HeadTrainConfig::default(), &mut head_rng);
-    let e = fusing.evaluate(&ctx.pool, &ctx.split.test);
+    fusing.train_head(
+        &ctx.pool,
+        &ctx.split.train,
+        proxy,
+        &HeadTrainConfig::default(),
+        &mut head_rng,
+        &Tracer::noop(),
+    );
+    let e = fusing.evaluate(&ctx.pool, &ctx.split.test, &Tracer::noop());
     table.row_owned(vec![
         label.into(),
         format!("{:.4}", e.attribute("age").unwrap().unfairness),

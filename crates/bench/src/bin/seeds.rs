@@ -7,7 +7,7 @@
 //! cargo run --release -p muffin-bench --bin seeds [num_seeds]
 //! ```
 
-use muffin::{intersectional_unfairness, MuffinSearch, SearchConfig, TextTable};
+use muffin::{intersectional_unfairness, MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_bench::{quick_mode, Scale};
 use muffin_data::IsicLike;
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -77,7 +77,7 @@ fn run_seed(seed: u64, scale: Scale) -> RunMetrics {
     let outcome = search.run(&mut rng).expect("search runs");
     let fusing = search.rebuild(outcome.best()).expect("rebuild");
     let muffin_preds = fusing.predict(search.pool(), split.test.features());
-    let muffin_eval = fusing.evaluate(search.pool(), &split.test);
+    let muffin_eval = fusing.evaluate(search.pool(), &split.test, &Tracer::noop());
 
     RunMetrics {
         best_vanilla_acc: vanilla.1.accuracy,

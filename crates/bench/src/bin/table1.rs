@@ -4,7 +4,7 @@
 //! **both** unfair attributes simultaneously and gains accuracy on small
 //! backbones.
 
-use muffin::{fmt_improvement, MuffinSearch, SearchConfig, TextTable};
+use muffin::{fmt_improvement, MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_bench::{isic_context, print_header};
 use muffin_models::{Architecture, FairnessMethod};
 
@@ -115,7 +115,7 @@ fn main() {
                 .expect("history is non-empty")
         });
         let fusing = search.rebuild(best).expect("rebuild");
-        let e = fusing.evaluate(search.pool(), &ctx.split.test);
+        let e = fusing.evaluate(search.pool(), &ctx.split.test, &Tracer::noop());
         let m_age = e.attribute("age").unwrap().unfairness;
         let m_site = e.attribute("site").unwrap().unfairness;
         table.row_owned(vec![

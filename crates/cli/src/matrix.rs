@@ -20,7 +20,7 @@
 use crate::Args;
 use muffin::{
     fnv1a64, MuffinSearch, PersistenceOptions, RewardKind, Scenario, ScenarioRegistry,
-    SearchConfig, TextTable, WorkerPool,
+    SearchConfig, TextTable, Tracer, WorkerPool,
 };
 use muffin_data::DatasetSplit;
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -500,7 +500,12 @@ fn run_cell(
         .decode(&best.actions)
         .map_err(|e| format!("{label}: {e}"))?;
     let (_, eval) = search
-        .evaluate_candidate(&candidate, &search.split().val, best.head_seed)
+        .evaluate_candidate(
+            &candidate,
+            &search.split().val,
+            best.head_seed,
+            &Tracer::noop(),
+        )
         .map_err(|e| format!("{label}: {e}"))?;
     let cell = MatrixCell {
         scenario: scenario.name().to_string(),

@@ -2,7 +2,6 @@ use crate::{MuffinError, ProxyDataset};
 use muffin_data::Dataset;
 use muffin_models::ModelPool;
 use muffin_nn::{Activation, ClassifierTrainer, LossKind, LrSchedule, Mlp, MlpSpec};
-use muffin_par::WorkerPool;
 use muffin_tensor::{Matrix, Rng64};
 use muffin_trace::Tracer;
 use std::fmt;
@@ -123,7 +122,7 @@ impl HeadTrainConfig {
 /// # Example
 ///
 /// ```
-/// use muffin::{FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset};
+/// use muffin::{FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset, Tracer};
 /// use muffin_data::IsicLike;
 /// use muffin_models::{Architecture, BackboneConfig, ModelPool};
 /// use muffin_nn::Activation;
@@ -147,7 +146,14 @@ impl HeadTrainConfig {
 ///     &pool,
 ///     &mut rng,
 /// )?;
-/// fusing.train_head(&pool, &split.train, &proxy, &HeadTrainConfig::fast(), &mut rng);
+/// fusing.train_head(
+///     &pool,
+///     &split.train,
+///     &proxy,
+///     &HeadTrainConfig::fast(),
+///     &mut rng,
+///     &Tracer::noop(),
+/// );
 /// let preds = fusing.predict(&pool, split.test.features());
 /// assert_eq!(preds.len(), split.test.len());
 /// # Ok(())
@@ -268,23 +274,12 @@ impl FusingStructure {
 
     /// Trains the head on the proxy dataset with the paper's Eq. 2 loss
     /// (or the configured alternative). Body parameters stay frozen.
+    ///
+    /// Records a `fusing.train_head` span (epochs, steps, final loss) plus
+    /// one `nn.epoch` span per epoch into `tracer`. Tracing never touches
+    /// the RNG, so the trained head is bit-identical under
+    /// [`Tracer::noop`].
     pub fn train_head(
-        &mut self,
-        pool: &ModelPool,
-        source: &Dataset,
-        proxy: &ProxyDataset,
-        config: &HeadTrainConfig,
-        rng: &mut Rng64,
-    ) {
-        self.train_head_traced(pool, source, proxy, config, rng, &Tracer::noop());
-    }
-
-    /// Like [`FusingStructure::train_head`], recording a
-    /// `fusing.train_head` span (epochs, steps, final loss) plus one
-    /// `nn.epoch` span per epoch into `tracer`. With a no-op tracer this is
-    /// exactly `train_head`: tracing never touches the RNG, so the trained
-    /// head is bit-identical either way.
-    pub fn train_head_traced(
         &mut self,
         pool: &ModelPool,
         source: &Dataset,
@@ -307,7 +302,7 @@ impl FusingStructure {
     /// body probabilities), e.g. from a [`crate::BodyOutputCache`].
     ///
     /// Records the same `fusing.train_head` span as
-    /// [`FusingStructure::train_head_traced`] and draws identically from
+    /// [`FusingStructure::train_head`] and draws identically from
     /// `rng`, so the trained head is bit-identical to the uncached path
     /// when the inputs are.
     pub fn train_head_on_inputs_traced(
@@ -322,7 +317,7 @@ impl FusingStructure {
         let start = std::time::Instant::now();
         let trainer =
             ClassifierTrainer::new(config.epochs, config.batch_size).with_schedule(config.schedule);
-        let report = trainer.fit_traced(
+        let report = trainer.fit(
             &mut self.head,
             inputs,
             labels,
@@ -357,31 +352,11 @@ impl FusingStructure {
     /// Panics if the structure's body is invalid for `pool` — a structure
     /// built through [`FusingStructure::new`] against this pool never is.
     /// Request paths handling structures from untrusted sources (e.g.
-    /// deserialized checkpoints) should call
-    /// [`FusingStructure::try_predict`] instead.
+    /// deserialized checkpoints) should fill a [`crate::BodyOutputCache`]
+    /// and call [`FusingStructure::try_predict_cached`] instead.
     pub fn predict(&self, pool: &ModelPool, features: &Matrix) -> Vec<usize> {
-        self.try_predict(pool, features)
-            .expect("fusing structure validated against this pool")
-    }
-
-    /// Like [`FusingStructure::predict`], but validates the body against
-    /// `pool` up front and returns an error instead of panicking.
-    ///
-    /// A [`FusingStructure`] deserialized from JSON bypasses the
-    /// constructor's checks, so a serving path must not assume its
-    /// `model_indices` are non-empty and in range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MuffinError::InvalidConfig`] if the structure selects no
-    /// body models, or selects an index out of range for `pool`, or if a
-    /// body model's prediction count disagrees with the head's.
-    pub fn try_predict(
-        &self,
-        pool: &ModelPool,
-        features: &Matrix,
-    ) -> Result<Vec<usize>, MuffinError> {
-        self.validate_body(pool.len())?;
+        self.validate_body(pool.len())
+            .expect("fusing structure validated against this pool");
         let mut probs: Vec<Matrix> = Vec::with_capacity(self.model_indices.len());
         let mut body_preds: Vec<Vec<usize>> = Vec::with_capacity(self.model_indices.len());
         for &i in &self.model_indices {
@@ -393,29 +368,24 @@ impl FusingStructure {
         let inputs = Matrix::hcat(&refs).expect("equal row counts by construction");
         let head_preds = self.head.predict(&inputs);
         self.gated(&body_preds, head_preds)
+            .expect("fusing structure validated against this pool")
     }
 
-    /// Predicts classes using cached body outputs instead of running the
-    /// backbones; identical to [`FusingStructure::predict`] on the cache's
-    /// feature matrix.
+    /// Predicts classes from cached body outputs instead of running the
+    /// backbones — identical to [`FusingStructure::predict`] on the cache's
+    /// feature matrix. It validates the body against the cache's pool up
+    /// front and returns an error instead of panicking, which makes it the
+    /// serving request path's entry point.
     ///
-    /// # Panics
-    ///
-    /// Panics if the structure's body is invalid for the cache's pool; see
-    /// [`FusingStructure::try_predict_cached`] for the checked variant.
-    pub fn predict_cached(&self, cache: &crate::BodyOutputCache<'_>) -> Vec<usize> {
-        self.try_predict_cached(cache)
-            .expect("fusing structure validated against the cache's pool")
-    }
-
-    /// Like [`FusingStructure::predict_cached`], but validates the body
-    /// against the cache's pool up front and returns an error instead of
-    /// panicking — the serving request path's entry point.
+    /// A [`FusingStructure`] deserialized from JSON bypasses the
+    /// constructor's checks, so a serving path must not assume its
+    /// `model_indices` are non-empty and in range.
     ///
     /// # Errors
     ///
-    /// Returns [`MuffinError::InvalidConfig`] under the same conditions as
-    /// [`FusingStructure::try_predict`].
+    /// Returns [`MuffinError::InvalidConfig`] if the structure selects no
+    /// body models, or selects an index out of range for the cache's pool,
+    /// or if a body model's prediction count disagrees with the head's.
     pub fn try_predict_cached(
         &self,
         cache: &crate::BodyOutputCache<'_>,
@@ -489,65 +459,27 @@ impl FusingStructure {
             .collect())
     }
 
-    /// Like [`FusingStructure::predict`], with the input rows fanned out
-    /// across `workers` in contiguous chunks.
-    ///
-    /// Predictions are per-row, so the result is identical to the serial
-    /// path for every worker count; small inputs fall back to the serial
-    /// path to avoid paying thread spawn for nothing.
-    pub fn predict_with(
-        &self,
-        pool: &ModelPool,
-        features: &Matrix,
-        workers: &WorkerPool,
-    ) -> Vec<usize> {
-        self.predict_with_traced(pool, features, workers, &Tracer::noop())
-    }
-
-    /// Like [`FusingStructure::predict_with`], observing the batch's
-    /// end-to-end latency into `tracer`'s `fusing.predict_batch` histogram.
-    /// Histogram aggregation is order-insensitive, so this is safe to call
-    /// from worker threads sharing one tracer.
-    pub fn predict_with_traced(
-        &self,
-        pool: &ModelPool,
-        features: &Matrix,
-        workers: &WorkerPool,
-        tracer: &Tracer,
-    ) -> Vec<usize> {
-        let start = std::time::Instant::now();
-        let preds = if workers.is_serial() || features.rows() < 2 * workers.workers() {
-            self.predict(pool, features)
-        } else {
-            let chunks = muffin_par::chunk_ranges(features.rows(), workers.workers());
-            let parts = workers.map(&chunks, |_, range| {
-                // Chunks are contiguous: a block copy of the row range beats
-                // materialising an index vector per chunk and gathering rows
-                // one by one through select_rows.
-                self.predict(pool, &features.row_range(range.clone()))
-            });
-            parts.into_iter().flatten().collect()
-        };
-        tracer.observe("fusing.predict_batch", start.elapsed());
-        preds
-    }
-
-    /// Like [`FusingStructure::evaluate`], observing the prediction
+    /// Evaluates the fused model on `dataset`, observing the prediction
     /// latency into `tracer`'s `fusing.predict_batch` histogram.
-    pub fn evaluate_traced(
+    pub fn evaluate(
         &self,
         pool: &ModelPool,
         dataset: &Dataset,
         tracer: &Tracer,
     ) -> muffin_models::ModelEvaluation {
-        let preds =
-            self.predict_with_traced(pool, dataset.features(), &WorkerPool::serial(), tracer);
+        let start = std::time::Instant::now();
+        let preds = self.predict(pool, dataset.features());
+        tracer.observe("fusing.predict_batch", start.elapsed());
         self.evaluation_of(&preds, pool, dataset)
     }
 
-    /// Like [`FusingStructure::evaluate_traced`], predicting from cached
-    /// body outputs. `cache` must have been built over `dataset`'s
-    /// features; the result is then identical to the uncached evaluation.
+    /// Like [`FusingStructure::evaluate`], predicting from cached body
+    /// outputs. `cache` must have been built over `dataset`'s features;
+    /// the result is then identical to the uncached evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the structure's body is invalid for the cache's pool.
     pub fn evaluate_cached_traced(
         &self,
         pool: &ModelPool,
@@ -556,14 +488,10 @@ impl FusingStructure {
         tracer: &Tracer,
     ) -> muffin_models::ModelEvaluation {
         let start = std::time::Instant::now();
-        let preds = self.predict_cached(cache);
+        let preds = self
+            .try_predict_cached(cache)
+            .expect("fusing structure validated against the cache's pool");
         tracer.observe("fusing.predict_batch", start.elapsed());
-        self.evaluation_of(&preds, pool, dataset)
-    }
-
-    /// Evaluates the fused model on `dataset`.
-    pub fn evaluate(&self, pool: &ModelPool, dataset: &Dataset) -> muffin_models::ModelEvaluation {
-        let preds = self.predict(pool, dataset.features());
         self.evaluation_of(&preds, pool, dataset)
     }
 
@@ -695,6 +623,7 @@ mod tests {
             &proxy,
             &HeadTrainConfig::default(),
             &mut rng,
+            &Tracer::noop(),
         );
         let after = accuracy(
             &fusing.predict(&pool, split.test.features()),
@@ -722,6 +651,7 @@ mod tests {
             &proxy,
             &HeadTrainConfig::default(),
             &mut rng,
+            &Tracer::noop(),
         );
         let fused = accuracy(
             &fusing.predict(&pool, split.test.features()),
@@ -759,31 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_prediction_matches_serial() {
-        let (pool, split, proxy, mut rng) = setup();
-        let mut fusing = FusingStructure::new(
-            vec![0, 1],
-            HeadSpec::new(vec![16, 12], Activation::Relu),
-            &pool,
-            &mut rng,
-        )
-        .expect("valid");
-        fusing.train_head(
-            &pool,
-            &split.train,
-            &proxy,
-            &HeadTrainConfig::fast(),
-            &mut rng,
-        );
-        let serial = fusing.predict(&pool, split.test.features());
-        for workers in [1usize, 2, 4, 32] {
-            let parallel =
-                fusing.predict_with(&pool, split.test.features(), &WorkerPool::new(workers));
-            assert_eq!(serial, parallel, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn cached_prediction_matches_uncached() {
         let (pool, split, proxy, mut rng) = setup();
         let mut fusing = FusingStructure::new(
@@ -799,17 +704,18 @@ mod tests {
             &proxy,
             &HeadTrainConfig::fast(),
             &mut rng,
+            &Tracer::noop(),
         );
         let cache = crate::BodyOutputCache::new(&pool, split.test.features().clone());
         let uncached = fusing.predict(&pool, split.test.features());
-        assert_eq!(fusing.predict_cached(&cache), uncached);
+        assert_eq!(fusing.try_predict_cached(&cache).expect("valid body"), uncached);
         let eval = fusing.evaluate_cached_traced(&pool, &cache, &split.test, &Tracer::noop());
-        let direct = fusing.evaluate(&pool, &split.test);
+        let direct = fusing.evaluate(&pool, &split.test, &Tracer::noop());
         assert_eq!(eval.accuracy.to_bits(), direct.accuracy.to_bits());
         // Gating off must flow through the cached path too.
         fusing.set_consensus_gating(false);
         assert_eq!(
-            fusing.predict_cached(&cache),
+            fusing.try_predict_cached(&cache).expect("valid body"),
             fusing.predict(&pool, split.test.features())
         );
     }
@@ -830,10 +736,6 @@ mod tests {
             .replace("\"model_indices\":[0,1]", "\"model_indices\":[]");
         let hollow: FusingStructure = muffin_json::from_str(&json).expect("parse");
         assert!(hollow.model_indices().is_empty());
-        let err = hollow
-            .try_predict(&pool, split.test.features())
-            .unwrap_err();
-        assert!(matches!(err, MuffinError::InvalidConfig(_)), "{err:?}");
         let cache = crate::BodyOutputCache::new(&pool, split.test.features().clone());
         let err = hollow.try_predict_cached(&cache).unwrap_err();
         assert!(matches!(err, MuffinError::InvalidConfig(_)), "{err:?}");
@@ -852,11 +754,6 @@ mod tests {
         let json = muffin_json::to_string(&fusing)
             .replace("\"model_indices\":[0,1]", "\"model_indices\":[0,9]");
         let wild: FusingStructure = muffin_json::from_str(&json).expect("parse");
-        let err = wild.try_predict(&pool, split.test.features()).unwrap_err();
-        assert!(
-            matches!(&err, MuffinError::InvalidConfig(m) if m.contains("out of range")),
-            "{err:?}"
-        );
         let cache = crate::BodyOutputCache::new(&pool, split.test.features().clone());
         let err = wild.try_predict_cached(&cache).unwrap_err();
         assert!(
@@ -962,7 +859,7 @@ mod tests {
             &mut rng,
         )
         .expect("valid");
-        let eval = fusing.evaluate(&pool, &split.test);
+        let eval = fusing.evaluate(&pool, &split.test, &Tracer::noop());
         assert!(eval.model.contains("ResNet-18"));
         assert!(eval.model.contains("DenseNet121"));
         assert!(eval.model.contains("[16,8] tanh"));

@@ -10,6 +10,7 @@
 
 use crate::{EpisodeRecord, HeadTrainConfig, MuffinError, MuffinSearch, SearchOutcome};
 use muffin_tensor::Rng64;
+use muffin_trace::Tracer;
 
 /// Configuration of a successive-halving run.
 #[derive(Debug, Clone, Copy)]
@@ -146,8 +147,9 @@ pub(crate) fn evaluate_at_epochs(
         search.proxy(),
         &head,
         &mut head_rng,
+        &Tracer::noop(),
     );
-    let eval = fusing.evaluate(search.pool(), &search.split().val);
+    let eval = fusing.evaluate(search.pool(), &search.split().val, &Tracer::noop());
     let mut record = EpisodeRecord::evaluated(
         search,
         actions.to_vec(),

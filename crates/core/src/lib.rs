@@ -61,7 +61,6 @@ mod checkpoint;
 mod controller;
 mod distill;
 mod error;
-mod explain;
 mod fusing;
 mod halving;
 mod pareto;
@@ -85,7 +84,6 @@ pub use controller::{
 };
 pub use distill::{distill_student, DistillConfig, DistilledStudent};
 pub use error::MuffinError;
-pub use explain::{TrustReport, TrustSlice};
 pub use fusing::{FusingStructure, HeadSpec, HeadTrainConfig};
 pub use halving::{promote, promotion_count, rung_budgets, successive_halving, HalvingConfig};
 pub use pareto::{dominates_min, pareto_max_min_indices, pareto_min_indices};

@@ -1,5 +1,5 @@
 use crate::{MuffinError, PrivilegeMap};
-use muffin_data::{AttributeId, Dataset};
+use muffin_data::Dataset;
 
 /// The fairness proxy dataset (paper component ② and Algorithm 1).
 ///
@@ -137,7 +137,7 @@ impl ProxyDataset {
 
     /// Builds a proxy directly from indices and weights (no Algorithm 1) —
     /// the escape hatch for custom weighting schemes and for restricting
-    /// the support, e.g. to disagreement samples.
+    /// the support.
     ///
     /// # Panics
     ///
@@ -146,41 +146,6 @@ impl ProxyDataset {
         assert_eq!(indices.len(), weights.len(), "indices/weights mismatch");
         assert!(!indices.is_empty(), "proxy support must be non-empty");
         Self { indices, weights, group_weights: Vec::new() }
-    }
-
-    /// A proxy restricted to the samples on which the given prediction
-    /// vectors disagree (evaluated on the *source* dataset's indexing).
-    /// With consensus gating the head only ever decides these samples, so
-    /// concentrating its training on them uses its capacity where it
-    /// counts.
-    ///
-    /// Returns `None` if no proxy sample is a disagreement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two prediction vectors are supplied or their
-    /// lengths disagree.
-    pub fn restricted_to_disagreements(&self, predictions: &[Vec<usize>]) -> Option<Self> {
-        assert!(predictions.len() >= 2, "need at least two prediction vectors");
-        let len = predictions[0].len();
-        assert!(
-            predictions.iter().all(|p| p.len() == len),
-            "prediction vectors must have equal length"
-        );
-        let mut indices = Vec::new();
-        let mut weights = Vec::new();
-        for (&i, &w) in self.indices.iter().zip(&self.weights) {
-            let first = predictions[0][i];
-            if predictions.iter().any(|p| p[i] != first) {
-                indices.push(i);
-                weights.push(w);
-            }
-        }
-        if indices.is_empty() {
-            None
-        } else {
-            Some(Self { indices, weights, group_weights: self.group_weights.clone() })
-        }
     }
 
     /// Number of proxy samples.
@@ -207,20 +172,12 @@ impl ProxyDataset {
     pub fn group_weights(&self) -> &[(usize, u16, f32)] {
         &self.group_weights
     }
-
-    /// The weight of one group, if it was unprivileged.
-    pub fn group_weight(&self, attr: AttributeId, group: u16) -> Option<f32> {
-        self.group_weights
-            .iter()
-            .find(|&&(a, g, _)| a == attr.index() && g == group)
-            .map(|&(_, _, w)| w)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muffin_data::{AttributeSchema, SensitiveAttribute};
+    use muffin_data::{AttributeId, AttributeSchema, SensitiveAttribute};
     use muffin_tensor::{Matrix, Rng64};
 
     /// 8 samples, two attributes with two groups each.
@@ -244,6 +201,15 @@ mod tests {
         (ds, map)
     }
 
+    /// Algorithm 1's weight of one unprivileged group.
+    fn group_weight(proxy: &ProxyDataset, attr: usize, group: u16) -> Option<f32> {
+        proxy
+            .group_weights()
+            .iter()
+            .find(|&&(a, g, _)| a == attr && g == group)
+            .map(|&(_, _, w)| w)
+    }
+
     #[test]
     fn algorithm_one_image_weights_are_membership_counts() {
         let (ds, map) = toy();
@@ -251,9 +217,9 @@ mod tests {
         // Support: samples 2..8 (sample 0,1 privileged in both).
         assert_eq!(proxy.indices(), &[2, 3, 4, 5, 6, 7]);
         // attr0 group1 members {4,5,6,7} have image weights {1,1,2,2} → mean 1.5.
-        assert_eq!(proxy.group_weight(AttributeId::new(0), 1), Some(1.5));
+        assert_eq!(group_weight(&proxy, 0, 1), Some(1.5));
         // attr1 group1 members {2,3,6,7} have image weights {1,1,2,2} → mean 1.5.
-        assert_eq!(proxy.group_weight(AttributeId::new(1), 1), Some(1.5));
+        assert_eq!(group_weight(&proxy, 1, 1), Some(1.5));
     }
 
     #[test]
@@ -287,8 +253,8 @@ mod tests {
         map.set(AttributeId::new(0), vec![1]);
         map.set(AttributeId::new(1), vec![1]);
         let proxy = ProxyDataset::build(&ds, &map).expect("proxy");
-        let wa = proxy.group_weight(AttributeId::new(0), 1).unwrap();
-        let wb = proxy.group_weight(AttributeId::new(1), 1).unwrap();
+        let wa = group_weight(&proxy, 0, 1).unwrap();
+        let wb = group_weight(&proxy, 1, 1).unwrap();
         assert!((wa - 2.0).abs() < 1e-6);
         assert!((wb - 1.5).abs() < 1e-6);
         assert!(wa > wb, "the doubly-unprivileged group must weigh more");

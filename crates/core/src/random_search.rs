@@ -59,7 +59,7 @@ pub fn random_search(
             tracer.count("search.cache_miss", 1);
             let candidate = space.decode(&actions)?;
             let head_seed = rng.uniform(0.0, 1.0).to_bits() as u64 ^ (episode as u64) << 32;
-            let evaluation = search.evaluate_candidate_traced(
+            let evaluation = search.evaluate_candidate(
                 &candidate,
                 &search.split().val,
                 head_seed,
@@ -101,7 +101,7 @@ pub fn random_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SearchConfig;
+    use crate::{SearchConfig, Tracer};
     use muffin_data::IsicLike;
     use muffin_models::{Architecture, BackboneConfig, ModelPool};
 
@@ -145,7 +145,7 @@ mod tests {
         let (search, mut rng) = setup();
         let outcome = random_search(&search, &mut rng).expect("runs");
         let fusing = search.rebuild(outcome.best()).expect("rebuild");
-        let eval = fusing.evaluate(search.pool(), &search.split().val);
+        let eval = fusing.evaluate(search.pool(), &search.split().val, &Tracer::noop());
         assert!((eval.accuracy - outcome.best().accuracy).abs() < 1e-6);
     }
 }

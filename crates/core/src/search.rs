@@ -450,6 +450,11 @@ impl MuffinSearch {
                 "reinforce_batch must be positive".into(),
             ));
         }
+        if config.head.batch_size == 0 {
+            return Err(MuffinError::InvalidConfig(
+                "head.batch_size must be positive".into(),
+            ));
+        }
         if let Some(&bad) = config.required_models.iter().find(|&&i| i >= pool.len()) {
             return Err(MuffinError::InvalidConfig(format!(
                 "required model {bad} out of range for pool of {}",
@@ -531,19 +536,13 @@ impl MuffinSearch {
     }
 
     /// Trains and evaluates one candidate on a dataset, returning the
-    /// trained structure and its evaluation. Deterministic in `head_seed`.
+    /// trained structure and its evaluation. Deterministic in `head_seed`;
+    /// records head-training spans and prediction latency into `tracer`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates candidate-construction errors.
     pub fn evaluate_candidate(
-        &self,
-        candidate: &Candidate,
-        eval_on: &Dataset,
-        head_seed: u64,
-    ) -> Result<(FusingStructure, ModelEvaluation), MuffinError> {
-        self.evaluate_candidate_traced(candidate, eval_on, head_seed, &Tracer::noop())
-    }
-
-    /// Like [`MuffinSearch::evaluate_candidate`], recording head-training
-    /// spans and prediction latency into `tracer`.
-    pub fn evaluate_candidate_traced(
         &self,
         candidate: &Candidate,
         eval_on: &Dataset,
@@ -557,7 +556,7 @@ impl MuffinSearch {
             &self.pool,
             &mut head_rng,
         )?;
-        fusing.train_head_traced(
+        fusing.train_head(
             &self.pool,
             &self.split.train,
             &self.proxy,
@@ -565,11 +564,11 @@ impl MuffinSearch {
             &mut head_rng,
             tracer,
         );
-        let eval = fusing.evaluate_traced(&self.pool, eval_on, tracer);
+        let eval = fusing.evaluate(&self.pool, eval_on, tracer);
         Ok((fusing, eval))
     }
 
-    /// Like [`MuffinSearch::evaluate_candidate_traced`] but with all body
+    /// Like [`MuffinSearch::evaluate_candidate`] but with all body
     /// forward passes served from the run's shared [`crate::BodyOutputCache`]s.
     ///
     /// Draws from the head RNG in exactly the same order as the uncached
@@ -610,7 +609,12 @@ impl MuffinSearch {
     pub fn rebuild(&self, record: &EpisodeRecord) -> Result<FusingStructure, MuffinError> {
         let space = self.space();
         let candidate = space.decode(&record.actions)?;
-        let (fusing, _) = self.evaluate_candidate(&candidate, &self.split.val, record.head_seed)?;
+        let (fusing, _) = self.evaluate_candidate(
+            &candidate,
+            &self.split.val,
+            record.head_seed,
+            &Tracer::noop(),
+        )?;
         Ok(fusing)
     }
 
@@ -1424,7 +1428,7 @@ mod tests {
         let outcome = search.run(&mut rng).expect("search runs");
         let record = outcome.best();
         let fusing = search.rebuild(record).expect("rebuild");
-        let eval = fusing.evaluate(search.pool(), &search.split().val);
+        let eval = fusing.evaluate(search.pool(), &search.split().val, &Tracer::noop());
         assert!(
             (eval.accuracy - record.accuracy).abs() < 1e-6,
             "rebuild must be exact"
@@ -1509,6 +1513,18 @@ mod tests {
         let config = SearchConfig::fast(&["age", "site"]).with_episodes(0);
         let err = with_privilege_error(config);
         assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("episodes")));
+    }
+
+    #[test]
+    fn zero_head_batch_size_is_rejected_instead_of_panicking_in_training() {
+        let mut config = SearchConfig::fast(&["age", "site"]);
+        config.head.batch_size = 0;
+        let err = with_privilege_error(config.clone());
+        assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("head.batch_size")));
+        let (search, _) = setup(2);
+        let err = MuffinSearch::new(search.pool().clone(), search.split().clone(), config)
+            .unwrap_err();
+        assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("head.batch_size")));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use muffin::{
     EvalCacheFile, FusingStructure, FusionComposition, HalvingConfig, HeadSpec, HeadTrainConfig,
     MuffinError, PersistenceOptions, PrivilegeMap, ProxyDataset, RewardConfig, RewardKind,
     RnnController, SearchCheckpoint, SearchConfig, SearchFingerprint, SearchOutcome, SearchSpace,
-    TextTable, TrustReport, CHECKPOINT_VERSION,
+    TextTable, CHECKPOINT_VERSION,
 };
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -33,7 +33,6 @@ fn public_types_are_send_sync() {
     assert_send_sync::<SearchOutcome>();
     assert_send_sync::<EpisodeRecord>();
     assert_send_sync::<HalvingConfig>();
-    assert_send_sync::<TrustReport>();
     assert_send_sync::<DisagreementBreakdown>();
     assert_send_sync::<FusionComposition>();
     assert_send_sync::<ControllerState>();
@@ -48,7 +47,6 @@ fn public_types_are_debuggable_and_cloneable() {
     assert_debug::<MuffinError>();
     assert_debug::<SearchOutcome>();
     assert_debug::<FusingStructure>();
-    assert_debug::<TrustReport>();
     assert_debug::<TextTable>();
     assert_clone::<PrivilegeMap>();
     assert_clone::<ProxyDataset>();

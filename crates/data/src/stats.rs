@@ -126,31 +126,9 @@ impl DatasetStats {
             .map(|jc| jc.cells.as_slice())
     }
 
-    /// All pairwise joint cell counts, ordered by `(attr_a, attr_b)`.
-    pub fn joint_counts_all(&self) -> &[JointGroupCount] {
-        &self.joint_counts
-    }
-
     /// Total number of samples.
     pub fn num_samples(&self) -> usize {
         self.num_samples
-    }
-
-    /// The share (0–1) of samples in a group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn group_share(&self, attr: AttributeId, group: u16) -> f32 {
-        let count = self.group_counts[attr.index()]
-            .iter()
-            .find(|c| c.group == group)
-            .map_or(0, |c| c.count);
-        if self.num_samples == 0 {
-            0.0
-        } else {
-            count as f32 / self.num_samples as f32
-        }
     }
 }
 
@@ -186,21 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn group_share_is_a_fraction() {
-        let ds = IsicLike::small().generate(&mut Rng64::seed(7));
-        let stats = DatasetStats::of(&ds);
-        let share = stats.group_share(AttributeId::new(0), 0);
-        assert!((0.0..=1.0).contains(&share));
-    }
-
-    #[test]
-    fn missing_group_has_zero_share() {
-        let ds = IsicLike::small().generate(&mut Rng64::seed(7));
-        let stats = DatasetStats::of(&ds);
-        assert_eq!(stats.group_share(AttributeId::new(2), 99), 0.0);
-    }
-
-    #[test]
     fn display_lists_every_attribute() {
         let ds = IsicLike::small().generate(&mut Rng64::seed(7));
         let text = DatasetStats::of(&ds).to_string();
@@ -212,11 +175,14 @@ mod tests {
     fn joint_counts_cover_every_pair_and_sum_to_dataset_size() {
         let ds = IsicLike::small().generate(&mut Rng64::seed(7));
         let stats = DatasetStats::of(&ds);
-        let attrs = ds.schema().iter().count();
-        assert_eq!(stats.joint_counts_all().len(), attrs * (attrs - 1) / 2);
-        for jc in stats.joint_counts_all() {
-            assert!(jc.attr_a < jc.attr_b);
-            assert_eq!(jc.cells.iter().map(|c| c.count).sum::<usize>(), ds.len());
+        let attrs = ds.schema().len();
+        for a in 0..attrs {
+            for b in a + 1..attrs {
+                let cells = stats
+                    .joint_counts(AttributeId::new(a), AttributeId::new(b))
+                    .expect("every pair is counted");
+                assert_eq!(cells.iter().map(|c| c.count).sum::<usize>(), ds.len());
+            }
         }
     }
 

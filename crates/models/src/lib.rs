@@ -41,7 +41,6 @@
 mod architecture;
 mod backbone;
 mod baselines;
-mod calibration;
 mod ensemble;
 mod evaluation;
 mod frozen;
@@ -52,7 +51,6 @@ mod pool;
 pub use architecture::{Architecture, ModelFamily};
 pub use backbone::BackboneConfig;
 pub use baselines::{FairnessMethod, MethodApplication};
-pub use calibration::{expected_calibration_error, TemperatureScale};
 pub use ensemble::{oracle_accuracy, Ensemble, EnsembleRule};
 pub use evaluation::{
     unprivileged_by_accuracy, AttributeEvaluation, IntersectionEvaluation, ModelEvaluation,

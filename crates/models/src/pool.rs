@@ -1,7 +1,7 @@
 use crate::backbone::train_backbone;
 use crate::{Architecture, BackboneConfig, FrozenModel};
 use muffin_data::Dataset;
-use muffin_tensor::{Matrix, Rng64};
+use muffin_tensor::Rng64;
 
 /// The Muffin "model pool": a set of trained, frozen off-the-shelf models
 /// the controller selects the muffin body from.
@@ -43,32 +43,9 @@ impl ModelPool {
         config: &BackboneConfig,
         rng: &mut Rng64,
     ) -> Self {
-        Self::train_traced(
-            train,
-            architectures,
-            config,
-            rng,
-            &muffin_trace::Tracer::noop(),
-        )
-    }
-
-    /// Like [`ModelPool::train`], recording one `models.train_backbone`
-    /// span per architecture into `tracer`. With a no-op tracer this is
-    /// exactly `train`: tracing never touches the RNG, so the pool is
-    /// bit-identical either way.
-    pub fn train_traced(
-        train: &Dataset,
-        architectures: &[Architecture],
-        config: &BackboneConfig,
-        rng: &mut Rng64,
-        tracer: &muffin_trace::Tracer,
-    ) -> Self {
         let models = architectures
             .iter()
             .map(|arch| {
-                let mut span = tracer.span("models.train_backbone");
-                span.field("architecture", arch.name());
-                span.field("samples", train.len());
                 train_backbone(
                     arch.name().to_string(),
                     arch,
@@ -118,15 +95,6 @@ impl ModelPool {
     pub fn push(&mut self, model: FrozenModel) -> usize {
         self.models.push(model);
         self.models.len() - 1
-    }
-
-    /// Probability outputs of every pool member on `features`, in pool
-    /// order.
-    pub fn predict_proba_all(&self, features: &Matrix) -> Vec<Matrix> {
-        self.models
-            .iter()
-            .map(|m| m.predict_proba(features))
-            .collect()
     }
 }
 
@@ -204,17 +172,6 @@ mod tests {
         // experiment binary. Only guard against a dramatic inversion here.
         assert!(big > small - 0.10, "ResNet-18 {big} vs ShuffleNet {small}");
         assert!(big > 0.3 && small > 0.3, "both models must beat chance");
-    }
-
-    #[test]
-    fn predict_proba_all_is_pool_ordered() {
-        let (pool, split) = small_pool();
-        let all = pool.predict_proba_all(split.test.features());
-        assert_eq!(all.len(), 2);
-        assert_eq!(
-            all[0],
-            pool.get(0).unwrap().predict_proba(split.test.features())
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use muffin::{BodyOutputCache, FusingStructure, HeadSpec, HeadTrainConfig, MuffinError};
+use muffin::{BodyOutputCache, FusingStructure, HeadSpec, HeadTrainConfig, MuffinError, Tracer};
 use muffin_data::IsicLike;
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
 use muffin_tensor::{Matrix, Rng64};
@@ -64,6 +64,7 @@ impl ServeEngine {
             &proxy,
             &HeadTrainConfig::fast(),
             &mut rng,
+            &Tracer::noop(),
         );
         let num_features = split.train.feature_dim();
         (

@@ -10,7 +10,7 @@
 //! cargo run --release -p muffin-examples --bin custom_pool
 //! ```
 
-use muffin::{MuffinSearch, SearchConfig};
+use muffin::{MuffinSearch, SearchConfig, Tracer};
 use muffin_data::{AttributeSpec, DataGenerator, GeneratorConfig, GroupSpec};
 use muffin_examples::one_line;
 use muffin_models::{Architecture, BackboneConfig, ModelFamily, ModelPool};
@@ -90,6 +90,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let best = outcome.best();
     let fusing = search.rebuild(best)?;
     println!("\nbest: {} with head {}", best.model_names.join(" + "), best.head_desc);
-    println!("  {}", one_line(&fusing.evaluate(search.pool(), &split.test)));
+    println!("  {}", one_line(&fusing.evaluate(search.pool(), &split.test, &Tracer::noop())));
     Ok(())
 }

@@ -11,7 +11,7 @@
 //! cargo run --release -p muffin-examples --bin dermatology_isic
 //! ```
 
-use muffin::{fmt_improvement, MuffinSearch, SearchConfig, TextTable};
+use muffin::{fmt_improvement, MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_data::IsicLike;
 use muffin_examples::one_line;
 use muffin_models::{Architecture, BackboneConfig, FairnessMethod, ModelPool};
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_by(|a, b| a.reward.partial_cmp(&b.reward).unwrap_or(std::cmp::Ordering::Equal))
         .expect("history is non-empty");
     let fusing = search.rebuild(best)?;
-    let eval = fusing.evaluate(search.pool(), &split.test);
+    let eval = fusing.evaluate(search.pool(), &split.test, &Tracer::noop());
     println!("  best: {} with head {}", best.model_names.join(" + "), best.head_desc);
     println!("  {}", one_line(&eval));
     println!(

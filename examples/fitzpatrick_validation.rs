@@ -9,7 +9,7 @@
 //! cargo run --release -p muffin-examples --bin fitzpatrick_validation
 //! ```
 
-use muffin::{per_group_accuracy_table, MuffinSearch, SearchConfig, TextTable};
+use muffin::{per_group_accuracy_table, MuffinSearch, SearchConfig, TextTable, Tracer};
 use muffin_data::{FitzpatrickLike, GroupId};
 use muffin_examples::one_line;
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         record.model_names.join(" + "),
         record.head_desc
     );
-    println!("  {}", one_line(&fusing.evaluate(search.pool(), &split.test)));
+    println!("  {}", one_line(&fusing.evaluate(search.pool(), &split.test, &Tracer::noop())));
 
     // Per-skin-tone accuracy vs the strongest single model.
     let tone = dataset.schema().by_name("skin_tone").expect("skin_tone");

@@ -10,7 +10,7 @@
 //! cargo run --release -p muffin-examples --bin quickstart
 //! ```
 
-use muffin::{MuffinSearch, SearchConfig};
+use muffin::{MuffinSearch, SearchConfig, Tracer};
 use muffin_data::IsicLike;
 use muffin_examples::one_line;
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -55,6 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         best.head_desc
     );
     let fusing = search.rebuild(best)?;
-    println!("  {}", one_line(&fusing.evaluate(search.pool(), &split.test)));
+    println!("  {}", one_line(&fusing.evaluate(search.pool(), &split.test, &Tracer::noop())));
     Ok(())
 }

@@ -13,6 +13,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+echo "==> benchmark build (a separate workspace over the library crates)"
+# benchmark/ is its own workspace, so the build above never compiles it:
+# an API change that breaks it would otherwise surface only when the
+# benchmark runs.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 

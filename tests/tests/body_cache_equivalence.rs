@@ -32,7 +32,7 @@ fn assert_records_match_uncached_rebuilds(search: &MuffinSearch, outcome: &Searc
     let val = &search.split().val;
     for record in outcome.distinct() {
         let fusing = search.rebuild(record).expect("rebuild");
-        let eval = fusing.evaluate(search.pool(), val);
+        let eval = fusing.evaluate(search.pool(), val, &Tracer::noop());
         assert_eq!(
             eval.accuracy.to_bits(),
             record.accuracy.to_bits(),

@@ -1,6 +1,6 @@
 //! End-to-end integration tests: dataset → pool → search → fused model.
 
-use muffin::{MuffinSearch, SearchConfig};
+use muffin::{MuffinSearch, SearchConfig, Tracer};
 use muffin_integration_tests::small_fixture;
 use muffin_tensor::Rng64;
 
@@ -17,7 +17,7 @@ fn full_pipeline_produces_a_working_fused_model() {
     assert_eq!(preds.len(), split.test.len());
     assert!(preds.iter().all(|&p| p < split.test.num_classes()));
 
-    let eval = fusing.evaluate(search.pool(), &split.test);
+    let eval = fusing.evaluate(search.pool(), &split.test, &Tracer::noop());
     assert!(eval.accuracy > 0.125, "fused model must beat 8-class chance");
     assert_eq!(eval.attributes.len(), 3);
 }
@@ -61,7 +61,7 @@ fn fused_model_beats_weakest_body_member() {
     let outcome = search.run(&mut rng).expect("run");
     let best = outcome.best();
     let fusing = search.rebuild(best).expect("rebuild");
-    let fused_acc = fusing.evaluate(search.pool(), &split.test).accuracy;
+    let fused_acc = fusing.evaluate(search.pool(), &split.test, &Tracer::noop()).accuracy;
     let weakest_body = fusing
         .model_indices()
         .iter()
@@ -105,7 +105,7 @@ fn evaluations_agree_between_direct_and_search_paths() {
     // The recorded validation metrics must match a fresh rebuild evaluated
     // on the validation split.
     let fusing = search.rebuild(record).expect("rebuild");
-    let eval = fusing.evaluate(search.pool(), &split.val);
+    let eval = fusing.evaluate(search.pool(), &split.val, &Tracer::noop());
     assert!((eval.accuracy - record.accuracy).abs() < 1e-6);
     for (i, name) in outcome.target_attributes.iter().enumerate() {
         let u = eval.attribute(name).expect("attribute").unfairness;

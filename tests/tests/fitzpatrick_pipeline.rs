@@ -2,7 +2,7 @@
 //! generic (the Fitzpatrick-like dataset has different attributes, group
 //! counts and class count than the ISIC-like one).
 
-use muffin::{MuffinSearch, PrivilegeMap, ProxyDataset, SearchConfig};
+use muffin::{MuffinSearch, PrivilegeMap, ProxyDataset, SearchConfig, Tracer};
 use muffin_data::FitzpatrickLike;
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
 use muffin_tensor::Rng64;
@@ -29,7 +29,7 @@ fn nine_class_two_attribute_schema_flows_through() {
     let search = MuffinSearch::new(pool, split.clone(), config).expect("setup");
     let outcome = search.run(&mut rng).expect("run");
     let fusing = search.rebuild(outcome.best()).expect("rebuild");
-    let eval = fusing.evaluate(search.pool(), &split.test);
+    let eval = fusing.evaluate(search.pool(), &split.test, &Tracer::noop());
     assert!(eval.accuracy > 1.0 / 9.0, "above 9-class chance");
     assert!(eval.attribute("skin_tone").is_some());
     assert!(eval.attribute("type").is_some());

@@ -3,9 +3,8 @@
 //! JSON — to the serial path for the same seed, at every worker count.
 //! This is the test `scripts/ci.sh` runs explicitly.
 
-use muffin::{HeadSpec, HeadTrainConfig, MuffinSearch, SearchConfig, WorkerPool};
+use muffin::{MuffinSearch, SearchConfig, WorkerPool};
 use muffin_integration_tests::small_fixture;
-use muffin_nn::Activation;
 
 fn outcome_json(workers: usize) -> String {
     let (split, pool, mut rng) = small_fixture(4242);
@@ -39,28 +38,4 @@ fn run_and_run_with_pool_serial_agree() {
     let a = search.run(&mut rng.clone()).expect("run");
     let b = search.run_with_pool(&mut rng, &WorkerPool::serial()).expect("run_with_pool");
     assert_eq!(muffin_json::to_string(&a), muffin_json::to_string(&b));
-}
-
-#[test]
-fn fused_batch_inference_is_worker_count_invariant() {
-    let (split, pool, mut rng) = small_fixture(626);
-    let mut fusing = muffin::FusingStructure::new(
-        vec![0, 1],
-        HeadSpec::new(vec![16, 8], Activation::Relu),
-        &pool,
-        &mut rng,
-    )
-    .expect("valid");
-    let age = split.train.schema().by_name("age").expect("age");
-    let site = split.train.schema().by_name("site").expect("site");
-    let privilege = muffin::PrivilegeMap::infer(&pool, &split.val, &[age, site], 0.02);
-    let proxy = muffin::ProxyDataset::build(&split.train, &privilege).expect("proxy");
-    fusing.train_head(&pool, &split.train, &proxy, &HeadTrainConfig::fast(), &mut rng);
-
-    let serial = fusing.predict(&pool, split.test.features());
-    for workers in [2usize, 5, 16] {
-        let pooled =
-            fusing.predict_with(&pool, split.test.features(), &WorkerPool::new(workers));
-        assert_eq!(serial, pooled, "workers={workers}");
-    }
 }
