@@ -36,7 +36,10 @@ fn main() {
         .take(16)
         .map(|r| {
             let fusing = search.rebuild(r).expect("rebuild");
-            (r.clone(), fusing.evaluate(search.pool(), &ctx.split.test, &Tracer::noop()))
+            (
+                r.clone(),
+                fusing.evaluate(search.pool(), &ctx.split.test, &Tracer::noop()),
+            )
         })
         .collect();
 

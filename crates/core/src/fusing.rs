@@ -708,7 +708,10 @@ mod tests {
         );
         let cache = crate::BodyOutputCache::new(&pool, split.test.features().clone());
         let uncached = fusing.predict(&pool, split.test.features());
-        assert_eq!(fusing.try_predict_cached(&cache).expect("valid body"), uncached);
+        assert_eq!(
+            fusing.try_predict_cached(&cache).expect("valid body"),
+            uncached
+        );
         let eval = fusing.evaluate_cached_traced(&pool, &cache, &split.test, &Tracer::noop());
         let direct = fusing.evaluate(&pool, &split.test, &Tracer::noop());
         assert_eq!(eval.accuracy.to_bits(), direct.accuracy.to_bits());

@@ -59,12 +59,8 @@ pub fn random_search(
             tracer.count("search.cache_miss", 1);
             let candidate = space.decode(&actions)?;
             let head_seed = rng.uniform(0.0, 1.0).to_bits() as u64 ^ (episode as u64) << 32;
-            let evaluation = search.evaluate_candidate(
-                &candidate,
-                &search.split().val,
-                head_seed,
-                tracer,
-            )?;
+            let evaluation =
+                search.evaluate_candidate(&candidate, &search.split().val, head_seed, tracer)?;
             let record = EpisodeRecord::evaluated(
                 search,
                 actions.clone(),

@@ -1522,8 +1522,8 @@ mod tests {
         let err = with_privilege_error(config.clone());
         assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("head.batch_size")));
         let (search, _) = setup(2);
-        let err = MuffinSearch::new(search.pool().clone(), search.split().clone(), config)
-            .unwrap_err();
+        let err =
+            MuffinSearch::new(search.pool().clone(), search.split().clone(), config).unwrap_err();
         assert!(matches!(err, MuffinError::InvalidConfig(ref m) if m.contains("head.batch_size")));
     }
 

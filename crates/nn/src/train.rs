@@ -225,7 +225,15 @@ mod tests {
         let (x, y) = blobs(90, &mut rng);
         let mut mlp = Mlp::new(&MlpSpec::new(2, &[16], 3), &mut rng);
         let trainer = ClassifierTrainer::new(60, 16).with_schedule(LrSchedule::constant(0.1));
-        trainer.fit(&mut mlp, &x, &y, None, LossKind::CrossEntropy, &mut rng, &Tracer::noop());
+        trainer.fit(
+            &mut mlp,
+            &x,
+            &y,
+            None,
+            LossKind::CrossEntropy,
+            &mut rng,
+            &Tracer::noop(),
+        );
         let acc = crate::accuracy(&mlp.predict(&x), &y);
         assert!(acc > 0.95, "accuracy {acc}");
     }
@@ -325,7 +333,15 @@ mod tests {
         let mut rng = Rng64::seed(15);
         let mut mlp = Mlp::new(&MlpSpec::new(2, &[4], 2), &mut rng);
         let x = Matrix::zeros(0, 2);
-        ClassifierTrainer::new(1, 4).fit(&mut mlp, &x, &[], None, LossKind::CrossEntropy, &mut rng, &Tracer::noop());
+        ClassifierTrainer::new(1, 4).fit(
+            &mut mlp,
+            &x,
+            &[],
+            None,
+            LossKind::CrossEntropy,
+            &mut rng,
+            &Tracer::noop(),
+        );
     }
 
     #[test]
@@ -358,7 +374,10 @@ mod tests {
         let noop = Tracer::noop();
         // Tracing must not perturb training: identical outputs either way.
         assert_eq!(run(&tracer), run(&noop));
-        assert!(noop.finish().events.is_empty(), "no-op tracer records nothing");
+        assert!(
+            noop.finish().events.is_empty(),
+            "no-op tracer records nothing"
+        );
         let log = tracer.finish();
         let epochs: Vec<_> = log.events.iter().filter(|e| e.name == "nn.epoch").collect();
         assert_eq!(epochs.len(), 5);

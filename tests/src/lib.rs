@@ -3,8 +3,8 @@
 //! directory.
 
 use muffin::{
-    random_search, run_sharded, MuffinError, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome,
-    SearchSpace, ShardedConfig, Tracer, WorkerPool,
+    random_search, run_sharded, MuffinError, MuffinSearch, PersistenceOptions, SearchConfig,
+    SearchOutcome, SearchSpace, ShardedConfig, Tracer, WorkerPool,
 };
 use muffin_data::{DatasetSplit, IsicLike};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};

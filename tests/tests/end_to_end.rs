@@ -61,7 +61,9 @@ fn fused_model_beats_weakest_body_member() {
     let outcome = search.run(&mut rng).expect("run");
     let best = outcome.best();
     let fusing = search.rebuild(best).expect("rebuild");
-    let fused_acc = fusing.evaluate(search.pool(), &split.test, &Tracer::noop()).accuracy;
+    let fused_acc = fusing
+        .evaluate(search.pool(), &split.test, &Tracer::noop())
+        .accuracy;
     let weakest_body = fusing
         .model_indices()
         .iter()
