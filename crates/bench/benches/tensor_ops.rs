@@ -24,14 +24,14 @@ fn bench_matmul(h: &mut Harness) {
 }
 
 /// Rows exercising the cache-blocked kernels on the shapes the tiling is
-/// for: tile-aligned squares, ragged widths that force a padded stride,
+/// for: tile-aligned squares, ragged widths that end in a partial tile,
 /// and the transposed variants at a size where blocking matters.
 fn bench_matmul_blocked(h: &mut Harness) {
     let mut rng = Rng64::seed(4);
     let mut out = Matrix::zeros(0, 0);
 
-    // 100 is not a multiple of the lane width (stride pads 100 → 104) nor
-    // of the 64-wide tiles, so this row covers the ragged-edge code paths.
+    // 100 is not a multiple of the 64-wide tiles, so this row covers the
+    // partial-tile code paths.
     let a = Matrix::random(100, 100, Init::ScaledNormal { std_dev: 1.0 }, &mut rng);
     let b = Matrix::random(100, 100, Init::ScaledNormal { std_dev: 1.0 }, &mut rng);
     h.bench("matmul_blocked/ragged/100", || {

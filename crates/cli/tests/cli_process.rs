@@ -3,6 +3,7 @@
 //! `--trace-out` must produce a parseable event log that
 //! `trace summarize` renders.
 
+use muffin_json::Json;
 use muffin_trace::TraceLog;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -347,6 +348,51 @@ fn killing_a_checkpointed_search_mid_run_still_resumes_to_identical_bytes() {
     for f in [clean_out, killed_out, resumed_out, ckpt] {
         std::fs::remove_file(f).ok();
     }
+}
+
+/// Looks up `key` in a JSON object.
+fn entry<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+    match json {
+        Json::Obj(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1,
+        other => panic!("expected an object, found {}", other.kind()),
+    }
+}
+
+#[test]
+fn evaluating_a_pool_whose_layers_do_not_chain_fails_cleanly() {
+    let (data, pool) = fixture();
+    // Reshape ResNet-18's second layer from 64x32 to 63x32, keeping the
+    // data length consistent, so the file decodes but cannot predict.
+    let mut json = muffin_json::parse(&std::fs::read_to_string(&pool).expect("read pool"))
+        .expect("pool parses");
+    let Json::Arr(models) = entry(&mut json, "models") else {
+        panic!("models array")
+    };
+    let Json::Arr(layers) = entry(entry(&mut models[0], "mlp"), "layers") else {
+        panic!("layers array")
+    };
+    let weight = entry(&mut layers[1], "weight");
+    let (Json::Int(rows), Json::Int(cols)) =
+        (entry(weight, "rows").clone(), entry(weight, "cols").clone())
+    else {
+        panic!("integer shape")
+    };
+    *entry(weight, "rows") = Json::Int(rows - 1);
+    let Json::Arr(values) = entry(weight, "data") else {
+        panic!("data array")
+    };
+    values.truncate(((rows - 1) * cols) as usize);
+    let broken = tmp("unchained_pool.json");
+    std::fs::write(&broken, json.to_string()).expect("write pool");
+
+    let out = muffin(&["evaluate", "--data", &data, "--pool", &broken]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("model 0") && stderr.contains("layer 1"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_file(broken).ok();
 }
 
 #[test]

@@ -37,8 +37,9 @@ use std::path::Path;
 /// Version 2 added [`SearchCheckpoint::exchanges_applied`] for sharded
 /// elite exchange; version 3 added the per-model
 /// [`PoolManifest`] to [`SearchFingerprint`] for content-addressed pool
-/// lifecycle.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// lifecycle; version 4 stores the controller parameters and optimizer
+/// moments densely, one value per weight, without row padding.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// The 64-bit FNV-1a hash, used to fingerprint the model pool and the
 /// dataset split without embedding them in the checkpoint. Canonically

@@ -585,18 +585,22 @@ impl RnnController {
     ///
     /// Returns [`MuffinError::InvalidConfig`] if the flattened parameter
     /// count does not match this controller's architecture — the loudest
-    /// available signal that the checkpoint belongs to a different space.
+    /// available signal that the checkpoint belongs to a different space —
+    /// or if the optimizer moments do not fit its parameter buffers.
     pub fn import_state(&mut self, state: ControllerState) -> Result<(), MuffinError> {
-        // The flat checkpoint mirrors `visit_params` buffers verbatim
-        // (including matrix padding lanes), so the expected length is the
-        // visited total, not the logical `num_params` count.
-        let mut expected = 0;
-        self.visit_params(&mut |p, _| expected += p.len());
+        let mut lens = Vec::new();
+        self.visit_params(&mut |p, _| lens.push(p.len()));
+        let expected: usize = lens.iter().sum();
         if state.params.len() != expected {
             return Err(MuffinError::InvalidConfig(format!(
                 "controller state has {} parameters, expected {expected}",
                 state.params.len()
             )));
+        }
+        if !moments_fit(&state.optimizer, &lens) {
+            return Err(MuffinError::InvalidConfig(
+                "optimizer moments do not match the controller architecture".into(),
+            ));
         }
         let mut offset = 0;
         self.visit_params(&mut |p, _| {
@@ -661,6 +665,12 @@ impl RnnController {
                 state.params.len()
             )));
         }
+        let old_lens: Vec<usize> = segs.iter().map(|s| s.old_len).collect();
+        if !moments_fit(&state.optimizer, &old_lens) {
+            return Err(MuffinError::InvalidConfig(
+                "optimizer moments do not match the old controller architecture".into(),
+            ));
+        }
         // Background: the deterministic fresh initialisation this
         // controller was constructed with. Mapped regions are overwritten
         // from the old state; appended rows/columns keep their init.
@@ -699,13 +709,13 @@ impl RnnController {
                 beta1,
                 beta2,
                 eps,
-                m: Self::remap_moments(&segs, m)?,
-                v: Self::remap_moments(&segs, v)?,
+                m: Self::remap_moments(&segs, m),
+                v: Self::remap_moments(&segs, v),
                 t,
             },
             Optimizer::Sgd { config, velocity } => Optimizer::Sgd {
                 config,
-                velocity: Self::remap_moments(&segs, velocity)?,
+                velocity: Self::remap_moments(&segs, velocity),
             },
         };
         self.baseline = state.baseline;
@@ -718,8 +728,7 @@ impl RnnController {
     /// in visitation order (embed weight, embed bias, cell buffers, then
     /// per-step head weight + bias).
     fn extension_segments(&mut self, old_space: &SearchSpace) -> Vec<ExtensionSegment> {
-        let lane = |cols: usize| Matrix::zeros(1, cols).stride();
-        let embed_stride = lane(self.config.embed_dim);
+        let embed_dim = self.config.embed_dim;
         let old_vocab = old_space.max_choices() + 1;
         let new_vocab = self.space.max_choices() + 1;
         let hidden = self.config.hidden_dim;
@@ -733,13 +742,12 @@ impl RnnController {
         // Embed weight: one row per token; the start token (last row of
         // the old vocabulary) moves to the last row of the new one.
         segs.push(ExtensionSegment {
-            old_len: old_vocab * embed_stride,
-            new_len: new_vocab * embed_stride,
+            old_len: old_vocab * embed_dim,
+            new_len: new_vocab * embed_dim,
             map: SegmentMap::Rows {
                 rows_old: old_vocab,
-                stride_old: embed_stride,
-                stride_new: embed_stride,
-                cols: embed_stride,
+                cols_old: embed_dim,
+                cols_new: embed_dim,
                 start_token_row: true,
             },
         });
@@ -753,56 +761,34 @@ impl RnnController {
         let new_sizes = self.space.step_sizes();
         for (&n_old, &n_new) in old_sizes.iter().zip(&new_sizes) {
             if n_old == n_new {
-                segs.push(ExtensionSegment::verbatim(hidden * lane(n_new)));
+                segs.push(ExtensionSegment::verbatim(hidden * n_new));
                 segs.push(ExtensionSegment::verbatim(n_new));
             } else {
-                segs.push(ExtensionSegment {
-                    old_len: hidden * lane(n_old),
-                    new_len: hidden * lane(n_new),
-                    map: SegmentMap::Rows {
-                        rows_old: hidden,
-                        stride_old: lane(n_old),
-                        stride_new: lane(n_new),
-                        cols: n_old,
-                        start_token_row: false,
-                    },
-                });
-                segs.push(ExtensionSegment {
-                    old_len: n_old,
-                    new_len: n_new,
-                    map: SegmentMap::Rows {
-                        rows_old: 1,
-                        stride_old: n_old,
-                        stride_new: n_new,
-                        cols: n_old,
-                        start_token_row: false,
-                    },
-                });
+                // The head weight (`hidden` rows), then its bias (one row).
+                for rows_old in [hidden, 1] {
+                    segs.push(ExtensionSegment {
+                        old_len: rows_old * n_old,
+                        new_len: rows_old * n_new,
+                        map: SegmentMap::Rows {
+                            rows_old,
+                            cols_old: n_old,
+                            cols_new: n_new,
+                            start_token_row: false,
+                        },
+                    });
+                }
             }
         }
         debug_assert_eq!(segs.len(), new_lens.len());
         segs
     }
 
-    /// Remaps per-buffer optimizer moments through the segment plan:
-    /// surviving entries keep their accumulated moments, appended entries
-    /// start at zero. Lazily-initialised (empty) moment lists pass
-    /// through untouched.
-    fn remap_moments(
-        segs: &[ExtensionSegment],
-        buffers: Vec<Vec<f32>>,
-    ) -> Result<Vec<Vec<f32>>, MuffinError> {
-        if buffers.is_empty() {
-            return Ok(buffers);
-        }
-        if buffers.len() != segs.len()
-            || buffers.iter().zip(segs).any(|(b, s)| b.len() != s.old_len)
-        {
-            return Err(MuffinError::InvalidConfig(
-                "optimizer moments do not match the old controller architecture".into(),
-            ));
-        }
-        Ok(buffers
+    /// Remaps per-buffer optimizer moments, already checked against the
+    /// old buffer lengths, through the segment plan: surviving entries
+    /// keep their accumulated moments, appended entries start at zero.
+    /// Lazily-initialised (empty) moment lists pass through untouched.
+    fn remap_moments(segs: &[ExtensionSegment], buffers: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
+        buffers
             .iter()
             .zip(segs)
             .map(|(buffer, seg)| {
@@ -810,7 +796,7 @@ impl RnnController {
                 seg.apply(buffer, &mut out);
                 out
             })
-            .collect())
+            .collect()
     }
 
     /// Probability vector of step `t` under the current policy, for
@@ -847,6 +833,21 @@ impl Parameterized for RnnController {
     }
 }
 
+/// Whether the optimizer's per-buffer moments fit parameter buffers of
+/// lengths `lens`: one moment buffer per parameter buffer, of equal length,
+/// or none at all before the optimizer's first (lazily allocating) step.
+/// Adam's two moment lists must both be allocated or both be empty.
+fn moments_fit(optimizer: &Optimizer, lens: &[usize]) -> bool {
+    let fits = |buffers: &[Vec<f32>]| {
+        buffers.is_empty()
+            || (buffers.len() == lens.len() && buffers.iter().zip(lens).all(|(b, &n)| b.len() == n))
+    };
+    match optimizer {
+        Optimizer::Adam { m, v, .. } => m.len() == v.len() && fits(m) && fits(v),
+        Optimizer::Sgd { velocity, .. } => fits(velocity),
+    }
+}
+
 /// One `visit_params` buffer's worth of the old→new mapping used by
 /// [`RnnController::import_extended`].
 struct ExtensionSegment {
@@ -858,16 +859,15 @@ struct ExtensionSegment {
 enum SegmentMap {
     /// The buffer is unchanged: copy wholesale.
     Verbatim,
-    /// A padded row-major matrix whose leading dimension may have grown:
-    /// copy `cols` values of each of `rows_old` rows from stride
-    /// `stride_old` to stride `stride_new`. With `start_token_row`, the
-    /// last old row (the start token's embedding) lands on the last *new*
-    /// row instead of staying in place.
+    /// A row-major matrix whose row or column count may have grown: copy
+    /// each of the `rows_old` rows of `cols_old` values to the start of the
+    /// same row at width `cols_new`. With `start_token_row`, the last old
+    /// row (the start token's embedding) lands on the last *new* row
+    /// instead of staying in place.
     Rows {
         rows_old: usize,
-        stride_old: usize,
-        stride_new: usize,
-        cols: usize,
+        cols_old: usize,
+        cols_new: usize,
         start_token_row: bool,
     },
 }
@@ -890,19 +890,18 @@ impl ExtensionSegment {
             SegmentMap::Verbatim => new.copy_from_slice(old),
             SegmentMap::Rows {
                 rows_old,
-                stride_old,
-                stride_new,
-                cols,
+                cols_old,
+                cols_new,
                 start_token_row,
             } => {
                 for row in 0..rows_old {
                     let dst_row = if start_token_row && row == rows_old - 1 {
-                        new.len() / stride_new - 1
+                        new.len() / cols_new - 1
                     } else {
                         row
                     };
-                    let src = &old[row * stride_old..row * stride_old + cols];
-                    new[dst_row * stride_new..dst_row * stride_new + cols].copy_from_slice(src);
+                    let src = &old[row * cols_old..(row + 1) * cols_old];
+                    new[dst_row * cols_new..dst_row * cols_new + cols_old].copy_from_slice(src);
                 }
             }
         }
@@ -1182,6 +1181,33 @@ mod tests {
     }
 
     #[test]
+    fn import_rejects_moments_that_do_not_fit_the_parameters() {
+        let mut rng = Rng64::seed(13);
+        let mut controller = RnnController::new(space(), ControllerConfig::default(), &mut rng);
+        let e = controller.sample(&mut rng);
+        controller.update(&e, 1.0);
+        let state = controller.export_state();
+        let mut short = state.clone();
+        match &mut short.optimizer {
+            Optimizer::Adam { m, .. } => m[0].truncate(3),
+            Optimizer::Sgd { .. } => unreachable!("the controller trains with Adam"),
+        }
+        assert!(matches!(
+            controller.import_state(short),
+            Err(MuffinError::InvalidConfig(_))
+        ));
+        let mut missing = state;
+        match &mut missing.optimizer {
+            Optimizer::Adam { v, .. } => v.pop(),
+            Optimizer::Sgd { .. } => unreachable!("the controller trains with Adam"),
+        };
+        assert!(matches!(
+            controller.import_state(missing),
+            Err(MuffinError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
     fn required_models_lead_every_decoded_body() {
         let s = space().with_required_models(vec![2]).expect("in range");
         let actions = vec![0, 1, 0, 0, 0, 0, 0, 0];
@@ -1225,9 +1251,9 @@ mod tests {
     }
 
     /// A controller trained on pool 4, plus its extension to `new_pool`.
-    /// Pool 12 crosses the padding-lane boundary of the slot heads (4 → 12
-    /// logits) *and* grows the token vocabulary (max_choices 6 → 12), so
-    /// both row-remap shapes are exercised.
+    /// Pool 12 widens the slot heads (4 → 12 logits) *and* grows the token
+    /// vocabulary (max_choices 6 → 12), so both row-remap shapes are
+    /// exercised.
     fn trained_and_extended(new_pool: usize) -> (RnnController, RnnController) {
         let mut rng = Rng64::seed(21);
         let mut old = RnnController::new(space(), ControllerConfig::default(), &mut rng);
@@ -1347,10 +1373,22 @@ mod tests {
             ControllerConfig::default(),
             &mut Rng64::seed(43),
         );
-        let mut short = state;
+        let mut short = state.clone();
         short.params.pop();
         assert!(matches!(
             ext.import_extended(&space(), short),
+            Err(MuffinError::InvalidConfig(_))
+        ));
+        // So are moment lists that do not fit the old buffers.
+        let e = old.sample(&mut rng);
+        old.update(&e, 1.0);
+        let mut lopsided = old.export_state();
+        match &mut lopsided.optimizer {
+            Optimizer::Adam { v, .. } => v.clear(),
+            Optimizer::Sgd { .. } => unreachable!("the controller trains with Adam"),
+        }
+        assert!(matches!(
+            ext.import_extended(&space(), lopsided),
             Err(MuffinError::InvalidConfig(_))
         ));
     }

@@ -92,5 +92,5 @@ fn default_configs_are_consistent() {
     let persistence = PersistenceOptions::default();
     assert!(persistence.checkpoint.is_none() && persistence.eval_cache.is_none());
     assert!(!persistence.resume && persistence.halt_after.is_none());
-    assert_eq!(CHECKPOINT_VERSION, 3, "bump only with a format change");
+    assert_eq!(CHECKPOINT_VERSION, 4, "bump only with a format change");
 }

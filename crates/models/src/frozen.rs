@@ -73,6 +73,19 @@ impl FrozenModel {
         self.mlp.spec().output_dim()
     }
 
+    /// Checks that the projection feeds the network and the network's
+    /// layer chain is consistent (see [`Mlp::check_shapes`]).
+    pub(crate) fn check_shapes(&self) -> Result<(), String> {
+        let input = self.mlp.spec().input_dim();
+        if self.projection.cols() != input {
+            return Err(format!(
+                "projection has {} columns but the network reads {input}",
+                self.projection.cols()
+            ));
+        }
+        self.mlp.check_shapes()
+    }
+
     /// Projects raw features into this architecture's view.
     pub(crate) fn project(&self, features: &Matrix) -> Matrix {
         features.matmul(&self.projection)

@@ -61,10 +61,18 @@ impl ModelPool {
     /// # Errors
     ///
     /// Returns [`PoolIoError::Io`] if the file cannot be read and
-    /// [`PoolIoError::Parse`] if it is not a valid pool.
+    /// [`PoolIoError::Parse`] if it is not a valid pool, including one
+    /// whose layer shapes do not chain (which would panic on predict).
     pub fn load_json(path: impl AsRef<Path>) -> Result<ModelPool, PoolIoError> {
         let text = fs::read_to_string(path)?;
-        muffin_json::from_str(&text).map_err(|e| PoolIoError::Parse(e.to_string()))
+        let pool: ModelPool =
+            muffin_json::from_str(&text).map_err(|e| PoolIoError::Parse(e.to_string()))?;
+        for (i, model) in pool.iter().enumerate() {
+            model
+                .check_shapes()
+                .map_err(|e| PoolIoError::Parse(format!("model {i} ({}): {e}", model.name())))?;
+        }
+        Ok(pool)
     }
 }
 
@@ -73,6 +81,7 @@ mod tests {
     use super::*;
     use crate::{Architecture, BackboneConfig, ModelPool};
     use muffin_data::IsicLike;
+    use muffin_json::{Json, ToJson};
     use muffin_tensor::Rng64;
 
     #[test]
@@ -94,6 +103,59 @@ mod tests {
         let a = pool.get(0).unwrap().predict(split.test.features());
         let b = loaded.get(0).unwrap().predict(split.test.features());
         assert_eq!(a, b, "reloaded pool must predict identically");
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Looks up `key` in a JSON object.
+    fn entry<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+        match json {
+            Json::Obj(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            other => panic!("expected an object, found {}", other.kind()),
+        }
+    }
+
+    #[test]
+    fn pool_whose_layers_do_not_chain_is_a_parse_error() {
+        let mut rng = Rng64::seed(71);
+        let split = IsicLike::small()
+            .with_num_samples(200)
+            .generate(&mut rng)
+            .split_default(&mut rng);
+        let pool = ModelPool::train(
+            &split.train,
+            &[Architecture::resnet18()],
+            &BackboneConfig::fast().with_epochs(1),
+            &mut rng,
+        );
+        // Drop one row of layer 1's weight, keeping its data length
+        // consistent, so the matrix decodes but no longer follows layer 0.
+        let mut json = pool.to_json();
+        let Json::Arr(models) = entry(&mut json, "models") else {
+            panic!("models array")
+        };
+        let Json::Arr(layers) = entry(entry(&mut models[0], "mlp"), "layers") else {
+            panic!("layers array")
+        };
+        let weight = entry(&mut layers[1], "weight");
+        let (Json::Int(rows), Json::Int(cols)) =
+            (entry(weight, "rows").clone(), entry(weight, "cols").clone())
+        else {
+            panic!("integer shape")
+        };
+        *entry(weight, "rows") = Json::Int(rows - 1);
+        let Json::Arr(data) = entry(weight, "data") else {
+            panic!("data array")
+        };
+        data.truncate(((rows - 1) * cols) as usize);
+
+        let dir = std::env::temp_dir().join("muffin_pool_test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("unchained.json");
+        std::fs::write(&path, json.to_string()).expect("write");
+        let err = ModelPool::load_json(&path).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, PoolIoError::Parse(_)), "{msg}");
+        assert!(msg.contains("model 0") && msg.contains("layer 1"), "{msg}");
         std::fs::remove_file(path).ok();
     }
 

@@ -70,6 +70,26 @@ impl Linear {
         self.weight.len() + self.bias.len()
     }
 
+    /// Checks that the bias and both gradient buffers match the weight's
+    /// shape, as a layer decoded from a file need not.
+    pub(crate) fn check_shapes(&self) -> Result<(), String> {
+        let (rows, cols) = self.weight.shape();
+        if self.bias.len() != cols
+            || self.grad_bias.len() != cols
+            || self.grad_weight.shape() != (rows, cols)
+        {
+            return Err(format!(
+                "weight is {rows}x{cols} but bias has {}, grad_weight is {}x{} \
+                 and grad_bias has {} entries",
+                self.bias.len(),
+                self.grad_weight.rows(),
+                self.grad_weight.cols(),
+                self.grad_bias.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Forward pass: `x · W + b`.
     ///
     /// # Panics
@@ -146,17 +166,9 @@ impl Linear {
 }
 
 impl Parameterized for Linear {
-    // The weight visit hands out the full padded backing store (see
-    // `Matrix::padded_data`): padding params and padding grads are both
-    // zero, which every update rule maps back to zero, so the optimizer
-    // can treat the buffer as flat without ever perturbing the padding.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        f(self.weight.padded_data_mut(), self.grad_weight.padded_data_mut());
+        f(self.weight.as_mut_slice(), self.grad_weight.as_mut_slice());
         f(&mut self.bias, &mut self.grad_bias);
-    }
-
-    fn num_params(&mut self) -> usize {
-        self.param_count()
     }
 }
 

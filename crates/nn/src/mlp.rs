@@ -172,6 +172,42 @@ impl Mlp {
         self.layers.iter().map(Linear::param_count).sum()
     }
 
+    /// Checks the layer chain that [`Mlp::forward`] relies on, for a
+    /// network decoded from a file: at least one layer, the first reading
+    /// `spec.input_dim()` columns, each reading its predecessor's output,
+    /// the last emitting `spec.output_dim()`, and every bias and gradient
+    /// buffer shaped like its weight.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending layer.
+    pub fn check_shapes(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("network has no layers".into());
+        }
+        let mut width = self.spec.input_dim;
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer
+                .check_shapes()
+                .map_err(|e| format!("layer {i}: {e}"))?;
+            if layer.in_dim() != width {
+                return Err(format!(
+                    "layer {i}: weight has {} rows but its input is {width} wide",
+                    layer.in_dim()
+                ));
+            }
+            width = layer.out_dim();
+        }
+        if width != self.spec.output_dim {
+            return Err(format!(
+                "layer {}: emits {width} outputs but the spec declares {}",
+                self.layers.len() - 1,
+                self.spec.output_dim
+            ));
+        }
+        Ok(())
+    }
+
     /// Forward pass returning raw logits.
     ///
     /// # Panics
@@ -312,10 +348,6 @@ impl Parameterized for Mlp {
         for layer in &mut self.layers {
             layer.visit_params(f);
         }
-    }
-
-    fn num_params(&mut self) -> usize {
-        self.param_count()
     }
 }
 

@@ -108,16 +108,10 @@ impl RnnCell {
 }
 
 impl Parameterized for RnnCell {
-    // Weight visits hand out padded backing stores; padding stays zero
-    // under every optimizer update (see `Linear::visit_params`).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        f(self.wx.padded_data_mut(), self.grad_wx.padded_data_mut());
-        f(self.wh.padded_data_mut(), self.grad_wh.padded_data_mut());
+        f(self.wx.as_mut_slice(), self.grad_wx.as_mut_slice());
+        f(self.wh.as_mut_slice(), self.grad_wh.as_mut_slice());
         f(&mut self.bias, &mut self.grad_bias);
-    }
-
-    fn num_params(&mut self) -> usize {
-        self.wx.len() + self.wh.len() + self.bias.len()
     }
 }
 

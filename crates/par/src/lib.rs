@@ -44,37 +44,6 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `len` items into at most `chunks` contiguous, balanced ranges.
-///
-/// Every range is non-empty and the ranges cover `0..len` in order; sizes
-/// differ by at most one, so workers finish at roughly the same time.
-///
-/// # Example
-///
-/// ```
-/// use muffin_par::chunk_ranges;
-///
-/// assert_eq!(chunk_ranges(5, 2), vec![0..3, 3..5]);
-/// assert_eq!(chunk_ranges(2, 8).len(), 2);
-/// assert!(chunk_ranges(0, 3).is_empty());
-/// ```
-pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 || chunks == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.min(len);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// A fixed-width scoped thread pool.
 ///
 /// The pool holds no threads between calls: each [`WorkerPool::map`]
@@ -440,30 +409,5 @@ mod tests {
         q.close();
         let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for len in [0usize, 1, 2, 5, 17, 100] {
-            for chunks in [1usize, 2, 3, 8, 200] {
-                let ranges = chunk_ranges(len, chunks);
-                let mut covered = 0;
-                for (i, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, covered, "ranges must be contiguous");
-                    assert!(
-                        !r.is_empty(),
-                        "range {i} empty for len={len} chunks={chunks}"
-                    );
-                    covered = r.end;
-                }
-                assert_eq!(covered, len);
-                if len > 0 {
-                    assert!(ranges.len() <= chunks.min(len));
-                    let sizes: Vec<usize> = ranges.iter().map(|r| r.end - r.start).collect();
-                    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                    assert!(max - min <= 1, "unbalanced chunks: {sizes:?}");
-                }
-            }
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! and a panicking stage must propagate instead of deadlocking.
 
 use muffin_check::{check, prop_assert, prop_assert_eq, Config, Gen};
-use muffin_par::{chunk_ranges, WorkerPool};
+use muffin_par::WorkerPool;
 
 #[test]
 fn pooled_map_equals_sequential_map() {
@@ -83,28 +83,4 @@ fn panicking_stage_propagates_for_any_panic_site() {
         },
     );
     std::panic::set_hook(prev);
-}
-
-#[test]
-fn chunked_map_composes_to_full_map() {
-    check(
-        "chunk_ranges + per-chunk map == whole map",
-        Config::cases(48),
-        |g: &mut Gen| {
-            let items = g.vec_f32(0..=40, -10.0, 10.0);
-            let chunks = g.usize_in(1..=9);
-            (items, chunks)
-        },
-        |(items, chunks)| {
-            let pool = WorkerPool::new(*chunks);
-            let ranges = chunk_ranges(items.len(), *chunks);
-            let per_chunk = pool.map(&ranges, |_, range| {
-                items[range.clone()].iter().map(|x| x * 2.0).collect::<Vec<f32>>()
-            });
-            let flat: Vec<f32> = per_chunk.into_iter().flatten().collect();
-            let whole: Vec<f32> = items.iter().map(|x| x * 2.0).collect();
-            prop_assert_eq!(flat, whole);
-            Ok(())
-        },
-    );
 }

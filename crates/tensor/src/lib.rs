@@ -23,6 +23,8 @@
 //!
 //! [`muffin-nn`]: https://example.invalid/muffin
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod init;
 pub mod instrument;
@@ -31,5 +33,5 @@ mod ops;
 
 pub use error::ShapeError;
 pub use init::{Init, Rng64, SplitMix64};
-pub use matrix::{Matrix, LANE_WIDTH};
+pub use matrix::Matrix;
 pub use ops::{argmax, logsumexp, softmax_in_place};

@@ -3,26 +3,6 @@ use muffin_json::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-/// Number of `f32` lanes in one 32-byte SIMD register; rows are padded to a
-/// multiple of this so every row starts on a 32-byte boundary.
-pub const LANE_WIDTH: usize = 8;
-
-/// One 32-byte-aligned group of [`LANE_WIDTH`] floats. Backing the matrix
-/// store with a `Vec<Lane>` (instead of `Vec<f32>`) is what guarantees the
-/// allocation itself is 32-byte aligned without a custom allocator.
-#[derive(Clone, Copy)]
-#[repr(C, align(32))]
-struct Lane([f32; LANE_WIDTH]);
-
-const ZERO_LANE: Lane = Lane([0.0; LANE_WIDTH]);
-
-/// Row stride (in `f32`s) for a logical column count: `cols` rounded up to
-/// the SIMD lane width. Zero iff `cols` is zero.
-#[inline]
-fn padded_stride(cols: usize) -> usize {
-    (cols + LANE_WIDTH - 1) / LANE_WIDTH * LANE_WIDTH
-}
-
 /// Row-block size for the matmul kernels (outer-loop tiling only).
 const I_BLOCK: usize = 64;
 /// Shared-dimension block size for the matmul kernels.
@@ -30,15 +10,10 @@ const K_BLOCK: usize = 64;
 /// Column-block size for `matmul_nt_into`'s dot-product tiling.
 const J_BLOCK: usize = 64;
 
-/// A dense, row-major `f32` matrix over an aligned, padded backing store.
+/// A dense, row-major `f32` matrix.
 ///
 /// This is the single tensor type used throughout the Muffin workspace.
-/// Logically the matrix is row-major: element `(r, c)` lives at
-/// `r * stride + c` where `stride` is `cols` rounded up to [`LANE_WIDTH`]
-/// (so every row begins on a 32-byte boundary and whole rows autovectorize
-/// cleanly). The padding lanes between `cols` and `stride` are storage
-/// only: no accessor, kernel, or serializer ever reads them, and the JSON
-/// format carries the logical shape alone.
+/// Element `(r, c)` lives at `r * cols + c` of one contiguous buffer.
 ///
 /// Hot-path operations (`matmul`, element-wise arithmetic) panic on shape
 /// mismatch — they sit inside training loops where a mismatch is a
@@ -62,31 +37,22 @@ const J_BLOCK: usize = 64;
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    /// Distance in `f32`s between consecutive row starts; `cols` rounded up
-    /// to [`LANE_WIDTH`]. Zero iff `cols` is zero.
-    stride: usize,
-    data: Vec<Lane>,
+    data: Vec<f32>,
 }
 
 impl Matrix {
     /// Creates a matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        let stride = padded_stride(cols);
-        Self {
-            rows,
-            cols,
-            stride,
-            data: vec![ZERO_LANE; rows * stride / LANE_WIDTH],
-        }
+        Self::filled(rows, cols, 0.0)
     }
 
     /// Creates a matrix filled with `value`.
     pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        let mut m = Self::zeros(rows, cols);
-        for row in m.iter_rows_mut() {
-            row.fill(value);
+        Self {
+            rows,
+            cols,
+            data: vec![value; rows * cols],
         }
-        m
     }
 
     /// Creates the `n`×`n` identity matrix.
@@ -107,11 +73,7 @@ impl Matrix {
         if data.len() != rows * cols {
             return Err(ShapeError::new("from_vec", (rows, cols), (data.len(), 1)));
         }
-        let mut m = Self::zeros(rows, cols);
-        for (dst, src) in m.iter_rows_mut().zip(data.chunks_exact(cols.max(1))) {
-            dst.copy_from_slice(src);
-        }
-        Ok(m)
+        Ok(Self { rows, cols, data })
     }
 
     /// Creates a matrix from a slice of row slices.
@@ -131,11 +93,11 @@ impl Matrix {
                 ));
             }
         }
-        let mut m = Self::zeros(n_rows, n_cols);
-        for (dst, src) in m.iter_rows_mut().zip(rows.iter()) {
-            dst.copy_from_slice(src);
-        }
-        Ok(m)
+        Ok(Self {
+            rows: n_rows,
+            cols: n_cols,
+            data: rows.concat(),
+        })
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every position.
@@ -175,58 +137,34 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// Row stride of the backing store in `f32`s: [`Matrix::cols`] rounded
-    /// up to [`LANE_WIDTH`]. Equal to `cols` when the column count is
-    /// already a lane multiple.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Total number of **logical** elements (`rows * cols`; padding lanes
-    /// are storage, not elements).
+    /// Total number of elements (`rows * cols`).
     pub fn len(&self) -> usize {
-        self.rows * self.cols
+        self.data.len()
     }
 
-    /// Whether the matrix has zero logical elements.
+    /// Whether the matrix has zero elements.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 
-    /// The full backing store including padding lanes, row-major with
-    /// stride [`Matrix::stride`].
-    ///
-    /// The padding lanes (`cols..stride` of each row) carry no meaning:
-    /// kernels and serializers never read them. This accessor exists for
-    /// whole-buffer consumers that tolerate them — optimizer parameter
-    /// visits (padding stays zero under every update rule that maps zero
-    /// gradient and zero value to zero delta) and tests that deliberately
-    /// poison padding to prove nothing reads it.
-    pub fn padded_data(&self) -> &[f32] {
-        self.buf()
+    /// The elements as one row-major slice of length `rows * cols`.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
     }
 
-    /// Mutable view of the full backing store including padding lanes.
-    ///
-    /// See [`Matrix::padded_data`] for the contract on padding lanes.
-    pub fn padded_data_mut(&mut self) -> &mut [f32] {
-        self.buf_mut()
+    /// Mutable row-major view of the elements.
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 
-    /// Copies the logical elements into a compact row-major vector of
-    /// length `rows * cols` (padding lanes are dropped).
+    /// Copies the elements into a row-major vector.
     pub fn to_vec(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.len());
-        for row in self.iter_rows() {
-            out.extend_from_slice(row);
-        }
-        out
+        self.data.clone()
     }
 
-    /// Consumes the matrix and returns its logical elements as a compact
-    /// row-major vector.
+    /// Consumes the matrix and returns its row-major element vector.
     pub fn into_vec(self) -> Vec<f32> {
-        self.to_vec()
+        self.data
     }
 
     /// Element at `(r, c)`.
@@ -242,7 +180,7 @@ impl Matrix {
             self.rows,
             self.cols
         );
-        self.buf()[r * self.stride + c]
+        self.data[r * self.cols + c]
     }
 
     /// Sets the element at `(r, c)`.
@@ -258,11 +196,10 @@ impl Matrix {
             self.rows,
             self.cols
         );
-        let idx = r * self.stride + c;
-        self.buf_mut()[idx] = v;
+        self.data[r * self.cols + c] = v;
     }
 
-    /// Borrow of row `r` as a slice (logical columns only, no padding).
+    /// Borrow of row `r` as a slice.
     ///
     /// # Panics
     ///
@@ -274,11 +211,11 @@ impl Matrix {
             "row {r} out of bounds for {} rows",
             self.rows
         );
-        let start = r * self.stride;
-        &self.buf()[start..start + self.cols]
+        let start = r * self.cols;
+        &self.data[start..start + self.cols]
     }
 
-    /// Mutable borrow of row `r` (logical columns only, no padding).
+    /// Mutable borrow of row `r`.
     ///
     /// # Panics
     ///
@@ -290,38 +227,27 @@ impl Matrix {
             "row {r} out of bounds for {} rows",
             self.rows
         );
-        let start = r * self.stride;
-        let end = start + self.cols;
-        &mut self.buf_mut()[start..end]
+        let start = r * self.cols;
+        &mut self.data[start..start + self.cols]
     }
 
-    /// Iterator over logical rows as slices.
+    /// Iterator over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        let cols = self.cols;
-        self.buf()
-            .chunks_exact(self.stride.max(1))
-            .map(move |chunk| &chunk[..cols])
+        self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Iterator over logical rows as mutable slices.
+    /// Iterator over rows as mutable slices.
     pub fn iter_rows_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
-        let cols = self.cols;
-        let stride = self.stride.max(1);
-        self.buf_mut()
-            .chunks_exact_mut(stride)
-            .map(move |chunk| &mut chunk[..cols])
+        self.data.chunks_exact_mut(self.cols.max(1))
     }
 
-    /// Reshapes to `rows`×`cols` and sets every element (and every padding
-    /// lane) to zero, reusing the existing allocation whenever its capacity
-    /// suffices.
+    /// Reshapes to `rows`×`cols` and sets every element to zero, reusing
+    /// the existing allocation whenever its capacity suffices.
     pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.stride = padded_stride(cols);
-        let lanes = rows * self.stride / LANE_WIDTH;
         self.data.clear();
-        self.data.resize(lanes, ZERO_LANE);
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Overwrites `self` with the shape and contents of `src`, reusing the
@@ -329,43 +255,15 @@ impl Matrix {
     pub fn copy_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
         self.cols = src.cols;
-        self.stride = src.stride;
         self.data.clear();
         self.data.extend_from_slice(&src.data);
     }
 
-    /// View of the backing store as a flat `f32` slice (including padding).
-    #[inline]
-    fn buf(&self) -> &[f32] {
-        // SAFETY: `Lane` is `repr(C)` over `[f32; LANE_WIDTH]`, so a
-        // `Vec<Lane>` is layout-compatible with a contiguous run of
-        // `len * LANE_WIDTH` floats at alignment 32 >= 4.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.data.as_ptr().cast::<f32>(),
-                self.data.len() * LANE_WIDTH,
-            )
-        }
-    }
-
-    /// Mutable view of the backing store as a flat `f32` slice.
-    #[inline]
-    fn buf_mut(&mut self) -> &mut [f32] {
-        // SAFETY: see `buf`.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.data.as_mut_ptr().cast::<f32>(),
-                self.data.len() * LANE_WIDTH,
-            )
-        }
-    }
-
-    /// Finiteness pre-scan of the logical elements, run **once per operand
-    /// per kernel call** (counted by [`crate::instrument::finiteness_scans`]).
-    fn all_finite_logical(&self) -> bool {
+    /// Finiteness pre-scan of the elements, run **once per operand per
+    /// kernel call** (counted by [`crate::instrument::finiteness_scans`]).
+    fn all_finite(&self) -> bool {
         crate::instrument::record_finiteness_scan();
-        self.iter_rows()
-            .all(|row| row.iter().all(|x| x.is_finite()))
+        self.data.iter().all(|x| x.is_finite())
     }
 
     /// Matrix product `self · other`.
@@ -407,11 +305,11 @@ impl Matrix {
         // `other` is all-finite: `0 · NaN` and `0 · ∞` are NaN and must
         // propagate, exactly as they do in `matmul_nt`. The scan is hoisted
         // out of the loops and runs exactly once per call (the instrument
-        // counter pins this); it touches logical elements only.
-        let skip_zeros = other.all_finite_logical();
-        let (sa, sb, so) = (self.stride, other.stride, out.stride);
-        let (abuf, bbuf) = (self.buf(), other.buf());
-        let obuf = out.buf_mut();
+        // counter pins this).
+        let skip_zeros = other.all_finite();
+        let (sa, sb, so) = (self.cols, other.cols, out.cols);
+        let (abuf, bbuf) = (&self.data, &other.data);
+        let obuf = &mut out.data;
         for ii in (0..m).step_by(I_BLOCK) {
             let i_end = (ii + I_BLOCK).min(m);
             for kk in (0..k).step_by(K_BLOCK) {
@@ -481,10 +379,10 @@ impl Matrix {
         }
         // Same hoisted pre-scan as `matmul_into`: one scan of `other` per
         // call guards the zero-skip path against swallowing NaN/∞.
-        let skip_zeros = other.all_finite_logical();
-        let (sa, sb, so) = (self.stride, other.stride, out.stride);
-        let (abuf, bbuf) = (self.buf(), other.buf());
-        let obuf = out.buf_mut();
+        let skip_zeros = other.all_finite();
+        let (sa, sb, so) = (self.cols, other.cols, out.cols);
+        let (abuf, bbuf) = (&self.data, &other.data);
+        let obuf = &mut out.data;
         for rr in (0..r_dim).step_by(K_BLOCK) {
             let r_end = (rr + K_BLOCK).min(r_dim);
             for ii in (0..c_dim).step_by(I_BLOCK) {
@@ -553,9 +451,9 @@ impl Matrix {
         if m == 0 || k == 0 || p == 0 {
             return;
         }
-        let (sa, sb, so) = (self.stride, other.stride, out.stride);
-        let (abuf, bbuf) = (self.buf(), other.buf());
-        let obuf = out.buf_mut();
+        let (sa, sb, so) = (self.cols, other.cols, out.cols);
+        let (abuf, bbuf) = (&self.data, &other.data);
+        let obuf = &mut out.data;
         for ii in (0..m).step_by(I_BLOCK) {
             let i_end = (ii + I_BLOCK).min(m);
             for jj in (0..p).step_by(J_BLOCK) {
@@ -607,33 +505,28 @@ impl Matrix {
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        let so = out.stride;
-        let obuf = out.buf_mut();
+        let so = out.cols;
         for (r, row) in self.iter_rows().enumerate() {
             for (c, &v) in row.iter().enumerate() {
-                obuf[c * so + r] = v;
+                out.data[c * so + r] = v;
             }
         }
         out
     }
 
-    /// Applies `f` to every logical element, returning a new matrix.
+    /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for (dst, src) in out.iter_rows_mut().zip(self.iter_rows()) {
-            for (o, &x) in dst.iter_mut().zip(src.iter()) {
-                *o = f(x);
-            }
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.iter().map(|&x| f(x)).collect(),
         }
-        out
     }
 
-    /// Applies `f` to every logical element in place (padding untouched).
+    /// Applies `f` to every element in place.
     pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for row in self.iter_rows_mut() {
-            for x in row.iter_mut() {
-                *x = f(*x);
-            }
+        for x in &mut self.data {
+            *x = f(*x);
         }
     }
 
@@ -644,17 +537,16 @@ impl Matrix {
     /// Panics if the shapes differ.
     pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for ((dst, a_row), b_row) in out
-            .iter_rows_mut()
-            .zip(self.iter_rows())
-            .zip(other.iter_rows())
-        {
-            for ((o, &a), &b) in dst.iter_mut().zip(a_row.iter()).zip(b_row.iter()) {
-                *o = f(a, b);
-            }
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self
+                .data
+                .iter()
+                .zip(&other.data)
+                .map(|(&a, &b)| f(a, b))
+                .collect(),
         }
-        out
     }
 
     /// In-place variant of [`Matrix::zip_map`]: `self[i] = f(self[i], other[i])`.
@@ -664,10 +556,8 @@ impl Matrix {
     /// Panics if the shapes differ.
     pub fn zip_apply(&mut self, other: &Matrix, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(self.shape(), other.shape(), "zip_apply shape mismatch");
-        for (dst, src) in self.iter_rows_mut().zip(other.iter_rows()) {
-            for (a, &b) in dst.iter_mut().zip(src.iter()) {
-                *a = f(*a, b);
-            }
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
         }
     }
 
@@ -692,10 +582,8 @@ impl Matrix {
     /// Panics if the shapes differ.
     pub fn axpy(&mut self, s: f32, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (dst, src) in self.iter_rows_mut().zip(other.iter_rows()) {
-            for (a, &b) in dst.iter_mut().zip(src.iter()) {
-                *a += s * b;
-            }
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += s * b;
         }
     }
 
@@ -719,13 +607,11 @@ impl Matrix {
         }
     }
 
-    /// Sum of every logical element (row-major fold, padding excluded).
+    /// Sum of every element (row-major fold).
     pub fn sum(&self) -> f32 {
         let mut s = 0.0f32;
-        for row in self.iter_rows() {
-            for &x in row {
-                s += x;
-            }
+        for &x in &self.data {
+            s += x;
         }
         s
     }
@@ -836,25 +722,11 @@ impl Matrix {
             range.end,
             self.rows
         );
-        let n = range.end - range.start;
-        out.resize_zeroed(n, self.cols);
-        if n == 0 || self.cols == 0 {
-            return;
-        }
-        // Equal column counts mean equal strides, so the range is one
-        // contiguous block in both backing stores.
-        let stride = self.stride;
-        let src = &self.buf()[range.start * stride..range.end * stride];
-        let dst = out.buf_mut();
-        dst[..n * stride].copy_from_slice(src);
-        // The block copy brought the source's padding lanes along; restore
-        // the all-zero padding `resize_zeroed` guarantees so the result is
-        // byte-identical to a row-by-row copy.
-        if self.cols < stride {
-            for r in 0..n {
-                dst[r * stride + self.cols..(r + 1) * stride].fill(0.0);
-            }
-        }
+        out.rows = range.end - range.start;
+        out.cols = self.cols;
+        out.data.clear();
+        out.data
+            .extend_from_slice(&self.data[range.start * self.cols..range.end * self.cols]);
     }
 
     /// Horizontally concatenates matrices with equal row counts.
@@ -890,16 +762,14 @@ impl Matrix {
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         let mut sq = 0.0f32;
-        for row in self.iter_rows() {
-            for &x in row {
-                sq += x * x;
-            }
+        for &x in &self.data {
+            sq += x * x;
         }
         sq.sqrt()
     }
 }
 
-/// `out_row[j] += a * b_row[j]` over one logical row.
+/// `out_row[j] += a * b_row[j]` over one row.
 #[inline]
 fn rank1_update(out_row: &mut [f32], a: f32, b_row: &[f32]) {
     for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
@@ -939,13 +809,10 @@ fn rank4_update(out_row: &mut [f32], a: [f32; 4], b: [&[f32]; 4], skip_zeros: bo
 }
 
 impl PartialEq for Matrix {
-    /// Logical equality: shapes match and every logical element compares
-    /// equal (`NaN != NaN`, as for raw `f32`). Padding lanes never
-    /// participate.
+    /// Shapes match and every element compares equal (`NaN != NaN`, as
+    /// for raw `f32`).
     fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.iter_rows().zip(other.iter_rows()).all(|(a, b)| a == b)
+        self.rows == other.rows && self.cols == other.cols && self.data == other.data
     }
 }
 
@@ -954,7 +821,7 @@ impl fmt::Debug for Matrix {
         f.debug_struct("Matrix")
             .field("rows", &self.rows)
             .field("cols", &self.cols)
-            .field("data", &self.to_vec())
+            .field("data", &self.data)
             .finish()
     }
 }
@@ -964,7 +831,7 @@ impl ToJson for Matrix {
         let mut obj = Json::object();
         obj.insert("rows", self.rows.to_json());
         obj.insert("cols", self.cols.to_json());
-        obj.insert("data", self.to_vec().to_json());
+        obj.insert("data", self.data.to_json());
         obj
     }
 }
@@ -1045,22 +912,9 @@ mod tests {
     }
 
     #[test]
-    fn storage_is_aligned_and_padded() {
-        let a = Matrix::zeros(3, 5);
-        assert_eq!(a.stride(), LANE_WIDTH);
-        assert_eq!(a.padded_data().len(), 3 * LANE_WIDTH);
-        assert_eq!(a.padded_data().as_ptr() as usize % 32, 0);
-        // Lane-multiple widths stay unpadded.
-        let b = Matrix::zeros(2, 16);
-        assert_eq!(b.stride(), 16);
-        assert_eq!(b.len(), 32);
-    }
-
-    #[test]
     fn len_counts_logical_elements_only() {
         let a = Matrix::zeros(4, 3);
         assert_eq!(a.len(), 12);
-        assert!(a.padded_data().len() > a.len());
         assert!(!a.is_empty());
         assert!(Matrix::zeros(0, 7).is_empty());
     }

@@ -206,3 +206,128 @@ fn scaled_by_zero_is_zero() {
         Ok(())
     });
 }
+
+#[test]
+fn json_round_trip_is_byte_identical() {
+    check(
+        "JSON round trip",
+        config(),
+        |g| gen_matrix(g, 11),
+        |m| {
+            let text = muffin_json::to_string(m);
+            // Round trip restores every element bit (serialisation is
+            // exact) and re-serialises to the same bytes.
+            let back: Matrix = muffin_json::from_str(&text).map_err(|e| e.to_string())?;
+            prop_assert_eq!(back.shape(), m.shape());
+            for (x, y) in back.as_slice().iter().zip(m.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+            prop_assert_eq!(&muffin_json::to_string(&back), &text);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn block_copy_operations_agree_with_index_oracle() {
+    check(
+        "hcat/select_rows_into/col_sums_into/zip_apply vs get()",
+        config(),
+        |g: &mut Gen| {
+            let a = gen_matrix(g, 9);
+            let b_cols = g.usize_in(1..=9);
+            let b = g.matrix_exact(a.rows(), b_cols, -9.0, 9.0);
+            let picks: Vec<usize> = (0..g.usize_in(1..=6))
+                .map(|_| g.usize_in(0..=a.rows() - 1))
+                .collect();
+            (a, b, picks)
+        },
+        |(a, b, picks)| {
+            // hcat: element (r, c) comes from the part owning column c.
+            let cat = Matrix::hcat(&[a, b]).map_err(|e| e.to_string())?;
+            prop_assert_eq!(cat.shape(), (a.rows(), a.cols() + b.cols()));
+            for r in 0..cat.rows() {
+                for c in 0..cat.cols() {
+                    let want = if c < a.cols() {
+                        a.get(r, c)
+                    } else {
+                        b.get(r, c - a.cols())
+                    };
+                    prop_assert_eq!(cat.get(r, c).to_bits(), want.to_bits());
+                }
+            }
+
+            // select_rows_into: row i of the output is row picks[i].
+            let mut sel = Matrix::zeros(3, 3);
+            a.select_rows_into(picks, &mut sel);
+            prop_assert_eq!(sel.shape(), (picks.len(), a.cols()));
+            for (i, &src) in picks.iter().enumerate() {
+                for c in 0..a.cols() {
+                    prop_assert_eq!(sel.get(i, c).to_bits(), a.get(src, c).to_bits());
+                }
+            }
+
+            // col_sums_into: ascending-row fold per column.
+            let mut sums = vec![f32::NAN; 2];
+            a.col_sums_into(&mut sums);
+            prop_assert_eq!(sums.len(), a.cols());
+            for (c, &s) in sums.iter().enumerate() {
+                let mut want = 0.0f32;
+                for r in 0..a.rows() {
+                    want += a.get(r, c);
+                }
+                prop_assert_eq!(s.to_bits(), want.to_bits());
+            }
+
+            // zip_apply: element-wise.
+            let other = a.map(|x| x * 0.5 - 1.0);
+            let mut applied = a.clone();
+            applied.zip_apply(&other, |x, y| x - y);
+            for r in 0..a.rows() {
+                for c in 0..a.cols() {
+                    let want = a.get(r, c) - other.get(r, c);
+                    prop_assert_eq!(applied.get(r, c).to_bits(), want.to_bits());
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn row_range_is_byte_identical_to_select_rows() {
+    check(
+        "row_range == select_rows bytes",
+        config(),
+        |g| {
+            let m = gen_matrix(g, 9);
+            let start = g.usize_in(0..=m.rows());
+            let end = g.usize_in(start..=m.rows());
+            (m, start, end)
+        },
+        |(m, start, end)| {
+            let indices: Vec<usize> = (*start..*end).collect();
+            let want = m.select_rows(&indices);
+            let got = m.row_range(*start..*end);
+            prop_assert_eq!(got.shape(), want.shape());
+            for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+            // The reuse path overwrites a destination of another shape.
+            let mut reused = Matrix::filled(3, 5, 1.25);
+            m.row_range_into(*start..*end, &mut reused);
+            prop_assert_eq!(reused.shape(), want.shape());
+            for (x, y) in reused.as_slice().iter().zip(want.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn row_range_panics_past_the_last_row() {
+    let m = Matrix::filled(4, 3, 1.0);
+    let _ = m.row_range(2..5);
+}

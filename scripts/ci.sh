@@ -32,9 +32,9 @@ else
     echo "==> rustfmt not installed, skipping format check"
 fi
 
-echo "==> kernel equivalence + stride awareness (blocked matmul vs naive oracle)"
+echo "==> kernel equivalence + matrix properties (blocked matmul vs naive oracle)"
 cargo test -q --offline -p muffin-tensor \
-    --test kernel_equivalence --test stride_awareness
+    --test kernel_equivalence --test proptest_matrix
 
 echo "==> serial vs parallel search equivalence"
 cargo test -q --offline -p muffin-integration-tests --test parallel_equivalence

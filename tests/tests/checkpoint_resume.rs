@@ -11,6 +11,7 @@ use muffin::{
     WorkerPool,
 };
 use muffin_integration_tests::small_fixture;
+use muffin_nn::Optimizer;
 use muffin_tensor::Rng64;
 use std::path::PathBuf;
 
@@ -275,6 +276,57 @@ fn corrupt_and_truncated_checkpoints_are_rejected() {
         )
         .expect_err("missing checkpoint must be rejected");
     assert!(matches!(err, MuffinError::Io(_)), "unexpected error: {err}");
+}
+
+/// Runs a 4-episode checkpointed search, rewrites the checkpoint with
+/// `edit`, and returns the error its resume fails with.
+fn resume_after_editing(name: &str, edit: impl FnOnce(&mut SearchCheckpoint)) -> MuffinError {
+    let (search, rng) = search_with(4, 2);
+    let ckpt = tmp(name);
+    search
+        .run_persistent(
+            &mut rng.clone(),
+            &WorkerPool::serial(),
+            &PersistenceOptions::checkpoint_to(&ckpt),
+        )
+        .expect("seed run");
+    let text = std::fs::read_to_string(&ckpt).expect("read");
+    let mut parsed: SearchCheckpoint = muffin_json::from_str(&text).expect("parse");
+    edit(&mut parsed);
+    parsed.save(&ckpt).expect("rewrite");
+    let err = search
+        .run_persistent(
+            &mut rng.clone(),
+            &WorkerPool::serial(),
+            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
+        )
+        .expect_err("edited checkpoint must be rejected");
+    std::fs::remove_file(ckpt).ok();
+    err
+}
+
+#[test]
+fn previous_version_checkpoint_is_rejected_naming_both_versions() {
+    let err = resume_after_editing("version_3.json", |ckpt| ckpt.version = 3);
+    assert!(
+        matches!(&err, MuffinError::StaleArtifact(msg)
+            if msg.contains("version 3") && msg.contains("version 4")),
+        "unexpected error: {err}"
+    );
+}
+
+#[test]
+fn checkpoint_with_a_short_moment_buffer_is_rejected_not_panicking() {
+    let err = resume_after_editing("short_moment.json", |ckpt| {
+        match &mut ckpt.controller.optimizer {
+            Optimizer::Adam { m, .. } => m[0].truncate(3),
+            Optimizer::Sgd { .. } => panic!("the controller trains with Adam"),
+        }
+    });
+    assert!(
+        matches!(&err, MuffinError::InvalidConfig(msg) if msg.contains("optimizer moments")),
+        "unexpected error: {err}"
+    );
 }
 
 #[test]
